@@ -254,6 +254,16 @@ class TestRender:
         run(capsys, "render", str(DATA / "square_config.json"), "--out", str(out2))
         assert out1.read_bytes() == out2.read_bytes()
 
+    @pytest.mark.parametrize("config,golden", [
+        ("square_config.json", "square_render_golden.svg"),
+        ("tiny_radii.json", "tiny_radii_render_golden.svg"),
+    ])
+    def test_render_matches_golden_bytes(self, tmp_path, capsys, config, golden):
+        out = tmp_path / "out.svg"
+        code, _, _ = run(capsys, "render", str(DATA / config), "--out", str(out))
+        assert code == 0
+        assert out.read_bytes() == (DATA / golden).read_bytes()
+
     def test_degenerate_radii_render(self, tmp_path, capsys):
         out = tmp_path / "tiny.svg"
         code, _, _ = run(capsys, "render", str(DATA / "tiny_radii.json"), "--out", str(out))
