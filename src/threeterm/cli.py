@@ -157,6 +157,10 @@ def _parse_config(doc, path: str, kinds=("concyclic", "lightcone", "matrix")):
     return ConcyclicConfig(tuple(alphas), tuple(radii))
 
 
+def _rel_dev(lhs: float, rhs: float) -> float:
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+
+
 def build_report(cfg: ConcyclicConfig, tol: float) -> dict:
     """Measurements, relation residuals, and rescaling-identity deviations.
 
@@ -168,27 +172,19 @@ def build_report(cfg: ConcyclicConfig, tol: float) -> dict:
     table = measure_all(cfg)
     families = {"d": table.d, "t": table.t, "lambda": table.lam, "P": table.p}
     residuals = {name: relative_residual(t) for name, t in families.items()}
-
-    def rel_dev(lhs: float, rhs: float) -> float:
-        return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
-
+    sqrt_2r = [math.sqrt(2.0 * v) for v in cfg.r]
     dev_chord_bitangent = 0.0
     dev_bitangent_lambda = 0.0
     dev_chord_plucker = 0.0
-    for idx, (i, j) in enumerate(PAIRS):
-        t_ij = table.t.values()[idx]
+    for (i, j), d_ij, t_ij, p_ij in zip(PAIRS, table.d, table.t, table.p):
         dev_chord_bitangent = max(
-            dev_chord_bitangent, rel_dev(t_ij, bitangent_direct(cfg, i, j))
+            dev_chord_bitangent, _rel_dev(t_ij, bitangent_direct(cfg, i, j))
         )
-        lam_pairing = lambda_minkowski(cfg, i, j)
-        scale = math.sqrt(2.0 * cfg.r[i - 1]) * math.sqrt(2.0 * cfg.r[j - 1])
+        scale = sqrt_2r[i - 1] * sqrt_2r[j - 1]
         dev_bitangent_lambda = max(
-            dev_bitangent_lambda, rel_dev(t_ij, lam_pairing * scale)
+            dev_bitangent_lambda, _rel_dev(t_ij, lambda_minkowski(cfg, i, j) * scale)
         )
-        dev_chord_plucker = max(
-            dev_chord_plucker,
-            rel_dev(table.d.values()[idx], 2.0 * table.p.values()[idx]),
-        )
+        dev_chord_plucker = max(dev_chord_plucker, _rel_dev(d_ij, 2.0 * p_ij))
     identities = {
         "chord_bitangent": dev_chord_bitangent,
         "bitangent_lambda": dev_bitangent_lambda,

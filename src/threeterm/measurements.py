@@ -11,19 +11,27 @@ connected entrywise by
     t_ij = lambda_ij * sqrt(2 r_i) * sqrt(2 r_j)
     d_ij = 2 * P_ij
 
-so each is a torus rescaling of the others.
+so each is a torus rescaling of the others, and measure_all() builds them
+that way: the chords d once, t as the torus image of d, lambda from t.  The
+determinants P are computed from the half-angles and serve as a check of
+d = 2P; the bitangent and lambda oracles below (from the circle centres and
+from the light-cone pairing of the horocycles) take independent paths.
+
+A configuration computes its tangency points and centres once, at
+construction, and its four horocycles once, on first use.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations
 
 from .errors import ConfigurationError
 from .horocycles import Horocycle, horocycle_from_tangency, lambda_length
 from .models import BoundaryPoint
-from .relations import PAIRS, SixTuple
+from .relations import PAIRS, SixTuple, TorusElement, torus_apply
 
 # Circles must clear each other by this much to count as disjoint.
 DISJOINT_MARGIN = 1e-9
@@ -39,7 +47,8 @@ class ConcyclicConfig:
     """Four half-angles (strictly increasing in [0, pi]) and four radii in (0, 1).
 
     Construction rejects overlapping or tangent circle pairs; every
-    measurement below assumes disjointness.
+    measurement below assumes disjointness.  It also sets tangency_points
+    (A_i) and centers (C_i), 0-based tuples of (x, y) pairs.
     """
 
     alpha: tuple[float, float, float, float]
@@ -60,33 +69,39 @@ class ConcyclicConfig:
             raise ConfigurationError(f"radii must lie in (0, 1): {r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "r", r)
+        points = tuple((math.cos(2.0 * a), math.sin(2.0 * a)) for a in alpha)
+        centers = tuple(
+            ((1.0 - rk) * x, (1.0 - rk) * y) for (x, y), rk in zip(points, r)
+        )
+        # Not fields: they take no part in equality or hashing.
+        object.__setattr__(self, "tangency_points", points)
+        object.__setattr__(self, "centers", centers)
         for i, j in combinations(range(4), 2):
-            ci, cj = self._center(i), self._center(j)
+            ci, cj = centers[i], centers[j]
             gap = math.hypot(ci[0] - cj[0], ci[1] - cj[1]) - (r[i] + r[j])
             if gap <= DISJOINT_MARGIN:
                 raise ConfigurationError(
                     f"circles {i + 1} and {j + 1} overlap (gap {gap:.3e})"
                 )
 
-    def _center(self, k: int) -> tuple[float, float]:
-        two_alpha = 2.0 * self.alpha[k]
-        scale = 1.0 - self.r[k]
-        return (scale * math.cos(two_alpha), scale * math.sin(two_alpha))
-
     def tangency_point(self, i: int) -> tuple[float, float]:
         """The point A_i = (cos 2a_i, sin 2a_i) on the unit circle (1-based)."""
         if not 1 <= i <= 4:
             raise IndexError(f"index out of range: {i}")
-        two_alpha = 2.0 * self.alpha[i - 1]
-        return (math.cos(two_alpha), math.sin(two_alpha))
+        return self.tangency_points[i - 1]
+
+    @cached_property
+    def _horocycles(self) -> tuple[Horocycle, ...]:
+        return tuple(
+            horocycle_from_tangency(BoundaryPoint(2.0 * a), rk)
+            for a, rk in zip(self.alpha, self.r)
+        )
 
     def horocycle(self, i: int) -> Horocycle:
         """The circle H_i viewed as a horocycle of the Poincare disk (1-based)."""
         if not 1 <= i <= 4:
             raise IndexError(f"index out of range: {i}")
-        return horocycle_from_tangency(
-            BoundaryPoint(2.0 * self.alpha[i - 1]), self.r[i - 1]
-        )
+        return self._horocycles[i - 1]
 
 
 @dataclass(frozen=True)
@@ -109,7 +124,7 @@ def euclidean_center(cfg: ConcyclicConfig, i: int) -> tuple[float, float]:
     """Center of circle i: distance 1 - r_i from the origin toward A_i."""
     if not 1 <= i <= 4:
         raise IndexError(f"index out of range: {i}")
-    return cfg._center(i - 1)
+    return cfg.centers[i - 1]
 
 
 def bitangent(cfg: ConcyclicConfig, i: int, j: int) -> float:
@@ -125,7 +140,7 @@ def bitangent_direct(cfg: ConcyclicConfig, i: int, j: int) -> float:
     bitangent(); c is the distance between the two circle centers.
     """
     _check_pair(i, j)
-    ci, cj = cfg._center(i - 1), cfg._center(j - 1)
+    ci, cj = cfg.centers[i - 1], cfg.centers[j - 1]
     c_sq = (ci[0] - cj[0]) ** 2 + (ci[1] - cj[1]) ** 2
     dr = cfg.r[i - 1] - cfg.r[j - 1]
     arg = c_sq - dr * dr
@@ -160,10 +175,20 @@ def plucker_measure(cfg: ConcyclicConfig, i: int, j: int) -> float:
 
 
 def measure_all(cfg: ConcyclicConfig) -> MeasurementTable:
-    """All four measurement families, indexed in the order 12,13,14,23,24,34."""
-    return MeasurementTable(
-        d=SixTuple.from_values(chord(cfg, i, j) for i, j in PAIRS),
-        t=SixTuple.from_values(bitangent(cfg, i, j) for i, j in PAIRS),
-        lam=SixTuple.from_values(lambda_measure(cfg, i, j) for i, j in PAIRS),
-        p=SixTuple.from_values(plucker_measure(cfg, i, j) for i, j in PAIRS),
-    )
+    """All four measurement families, indexed in the order 12,13,14,23,24,34.
+
+    Entry for entry equal (==) to chord, bitangent, lambda_measure and
+    plucker_measure: the same operations in the same order, with d computed
+    once and each pair's factors shared.
+    """
+    alpha, r = cfg.alpha, cfg.r
+    d = SixTuple(*[2.0 * math.sin(alpha[j - 1] - alpha[i - 1]) for i, j in PAIRS])
+    t = torus_apply(TorusElement(*[math.sqrt(1.0 - v) for v in r]), d)
+    s = [math.sqrt(2.0 * v) for v in r]
+    # Divide by s_i*s_j rather than multiply by the torus inverse: the
+    # quotient is what lambda_measure rounds to.
+    lam = SixTuple(*[v / (s[i - 1] * s[j - 1]) for (i, j), v in zip(PAIRS, t)])
+    cos = [math.cos(a) for a in alpha]
+    sin = [math.sin(a) for a in alpha]
+    p = SixTuple(*[cos[i - 1] * sin[j - 1] - cos[j - 1] * sin[i - 1] for i, j in PAIRS])
+    return MeasurementTable(d=d, t=t, lam=lam, p=p)

@@ -31,9 +31,11 @@ class MinkowskiVec:
     z: float
 
     def __post_init__(self):
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
+        x, y, z = float(self.x), float(self.y), float(self.z)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
             raise DomainError(f"Minkowski vector has non-finite components: {self}")
 
     def scaled(self, s: float) -> "MinkowskiVec":

@@ -33,6 +33,14 @@ class SixTuple:
     a24: Scalar
     a34: Scalar
 
+    def __post_init__(self):
+        # 0.0*x is 0 for finite x and NaN for an infinite or NaN x, so the
+        # sum is finite exactly when every entry is (real or complex).
+        zeros = (0.0 * self.a12 + 0.0 * self.a13 + 0.0 * self.a14
+                 + 0.0 * self.a23 + 0.0 * self.a24 + 0.0 * self.a34)
+        if not cmath.isfinite(zeros):
+            raise DegenerateError(f"six-tuple has a non-finite entry: {self}")
+
     @classmethod
     def from_values(cls, values) -> "SixTuple":
         vals = tuple(values)
@@ -61,8 +69,11 @@ class TorusElement:
     q4: Scalar
 
     def __post_init__(self):
-        if any(q == 0 for q in self.values()):
+        q = self.values()
+        if any(v == 0 for v in q):
             raise DegenerateError(f"torus element has a zero component: {self}")
+        if not all(map(cmath.isfinite, q)):
+            raise DegenerateError(f"torus element has a non-finite component: {self}")
 
     def values(self) -> tuple[Scalar, ...]:
         return (self.q1, self.q2, self.q3, self.q4)
@@ -92,25 +103,33 @@ def residual(t: SixTuple) -> Scalar:
 
 
 def quadric_scale(t: SixTuple) -> float:
-    """Scale for relative residual tests: the largest monomial, floored at 1."""
-    return max(abs(t.a12 * t.a34), abs(t.a14 * t.a23), abs(t.a13 * t.a24), 1.0)
+    """Scale for relative residual tests: the largest of the three monomials.
+
+    No floor: scaling every entry by s scales the residual and this scale
+    alike by s^2, so the relative tests do not depend on the tuple's units.
+    """
+    return max(abs(t.a12 * t.a34), abs(t.a14 * t.a23), abs(t.a13 * t.a24))
 
 
 def relative_residual(t: SixTuple) -> float:
-    return abs(residual(t)) / quadric_scale(t)
+    """|residual| over the largest monomial; 0.0 when every monomial is zero."""
+    scale = quadric_scale(t)
+    if scale == 0.0:
+        return 0.0
+    return abs(residual(t)) / scale
 
 
 def is_on_quadric(t: SixTuple, tol: float) -> bool:
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tolerance must be positive: {tol}")
     return abs(residual(t)) <= tol * quadric_scale(t)
 
 
 def torus_apply(q: TorusElement, t: SixTuple) -> SixTuple:
-    qs = (None, q.q1, q.q2, q.q3, q.q4)
-    return SixTuple.from_values(
-        qs[i] * qs[j] * v for (i, j), v in zip(PAIRS, t.values())
-    )
+    """The six-tuple q_i*q_j*a_ij, each entry rounded as (q_i*q_j)*a_ij."""
+    q1, q2, q3, q4 = q.q1, q.q2, q.q3, q.q4
+    return SixTuple(q1 * q2 * t.a12, q1 * q3 * t.a13, q1 * q4 * t.a14,
+                    q2 * q3 * t.a23, q2 * q4 * t.a24, q3 * q4 * t.a34)
 
 
 def cross_ratio_invariant(t: SixTuple) -> Scalar:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .measurements import ConcyclicConfig, euclidean_center
+from .measurements import ConcyclicConfig
 from .relations import PAIRS
 
 # Unit circle maps to a 1000x1000 viewport: radius 480 px centered at
@@ -24,35 +24,19 @@ CENTER = 500.0
 _DIAMETER_TOL = 1e-12
 
 
-def _fmt(v: float) -> str:
-    s = f"{v:.6f}"
-    return "0.000000" if s == "-0.000000" else s
-
-
-def _px(p: tuple[float, float]) -> tuple[float, float]:
-    return (CENTER + SCALE * p[0], CENTER - SCALE * p[1])
-
-
-def _circle(center: tuple[float, float], radius: float, cls: str) -> str:
-    cx, cy = _px(center)
-    return (
-        f'<circle class="{cls}" cx="{_fmt(cx)}" cy="{_fmt(cy)}" '
-        f'r="{_fmt(SCALE * radius)}"/>'
-    )
-
-
-def _line(a: tuple[float, float], b: tuple[float, float], cls: str) -> str:
-    ax, ay = _px(a)
-    bx, by = _px(b)
-    return (
-        f'<line class="{cls}" x1="{_fmt(ax)}" y1="{_fmt(ay)}" '
-        f'x2="{_fmt(bx)}" y2="{_fmt(by)}"/>'
-    )
-
-
-def _label(p: tuple[float, float], text: str) -> str:
-    x, y = _px(p)
-    return f'<text class="label" x="{_fmt(x)}" y="{_fmt(y)}">{text}</text>'
+# The prolog, the style sheet and the boundary circle: the same in every document.
+_HEAD = "\n".join([
+    '<?xml version="1.0" encoding="UTF-8"?>',
+    f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW:.0f}" '
+    f'height="{VIEW:.0f}" viewBox="0 0 {VIEW:.0f} {VIEW:.0f}">',
+    "<style>"
+    "circle,line,path{fill:none;stroke:black;stroke-width:1.5}"
+    ".chord{stroke:#0088aa}.bitangent{stroke:#aa00aa}"
+    ".geodesic{stroke:#aa6600}"
+    ".label{font:20px sans-serif;fill:#333;stroke:none}"
+    "</style>",
+    f'<circle class="boundary" cx="{CENTER:.6f}" cy="{CENTER:.6f}" r="{SCALE:.6f}"/>',
+])
 
 
 def bitangent_segment(
@@ -64,7 +48,7 @@ def bitangent_segment(
     both circles on the same side; of the two such lines we draw the one
     whose segment midpoint lies farther from the origin (the outer one).
     """
-    ci, cj = euclidean_center(cfg, i), euclidean_center(cfg, j)
+    ci, cj = cfg.centers[i - 1], cfg.centers[j - 1]
     ri, rj = cfg.r[i - 1], cfg.r[j - 1]
     dx, dy = cj[0] - ci[0], cj[1] - ci[1]
     c = math.hypot(dx, dy)
@@ -85,75 +69,71 @@ def bitangent_segment(
     return best
 
 
-def geodesic_arc_params(theta_i: float, theta_j: float):
+def _geodesic_arc(ai: tuple[float, float], aj: tuple[float, float]):
     """Center and radius of the circle orthogonal to the unit circle through
-    two boundary angles, or None when the geodesic is a diameter.
+    the boundary points ai and aj, or None when the geodesic is a diameter.
 
     The center M solves <A_i, M> = <A_j, M> = 1 (the orthogonality
     condition) and the radius is sqrt(|M|^2 - 1).
     """
-    ai = (math.cos(theta_i), math.sin(theta_i))
-    aj = (math.cos(theta_j), math.sin(theta_j))
     det = ai[0] * aj[1] - ai[1] * aj[0]
     if abs(det) < _DIAMETER_TOL:
         return None
     mx = (aj[1] - ai[1]) / det
     my = (ai[0] - aj[0]) / det
-    radius = math.sqrt(mx * mx + my * my - 1.0)
-    return (mx, my), radius
-
-
-def _geodesic_element(theta_i: float, theta_j: float) -> str:
-    ai = (math.cos(theta_i), math.sin(theta_i))
-    aj = (math.cos(theta_j), math.sin(theta_j))
-    params = geodesic_arc_params(theta_i, theta_j)
-    if params is None:
-        return _line(ai, aj, "geodesic")
-    (mx, my), radius = params
-    # Minor arc; math-counterclockwise becomes sweep 0 after the y flip.
-    cross = (ai[0] - mx) * (aj[1] - my) - (ai[1] - my) * (aj[0] - mx)
-    sweep = 0 if cross > 0 else 1
-    x1, y1 = _px(ai)
-    x2, y2 = _px(aj)
-    rpx = _fmt(SCALE * radius)
-    return (
-        f'<path class="geodesic" d="M {_fmt(x1)} {_fmt(y1)} '
-        f'A {rpx} {rpx} 0 0 {sweep} {_fmt(x2)} {_fmt(y2)}"/>'
-    )
+    return (mx, my), math.sqrt(mx * mx + my * my - 1.0)
 
 
 def render_svg(cfg: ConcyclicConfig) -> str:
-    """Render a configuration to a complete SVG document."""
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW:.0f}" '
-        f'height="{VIEW:.0f}" viewBox="0 0 {VIEW:.0f} {VIEW:.0f}">',
-        "<style>"
-        "circle,line,path{fill:none;stroke:black;stroke-width:1.5}"
-        ".chord{stroke:#0088aa}.bitangent{stroke:#aa00aa}"
-        ".geodesic{stroke:#aa6600}"
-        ".label{font:20px sans-serif;fill:#333;stroke:none}"
-        "</style>",
-        _circle((0.0, 0.0), 1.0, "boundary"),
-    ]
-    for i in range(1, 5):
-        parts.append(_circle(euclidean_center(cfg, i), cfg.r[i - 1], "horocycle"))
-    tangency = {i: cfg.tangency_point(i) for i in range(1, 5)}
-    for i, j in PAIRS:
-        ai, aj = tangency[i], tangency[j]
-        parts.append(_line(ai, aj, "chord"))
+    """Render a configuration to a complete SVG document.
+
+    Points map to pixels as (CENTER + SCALE*x, CENTER - SCALE*y); every
+    coordinate is written with 6 decimals.
+    """
+    parts = [_HEAD]
+    for (cx, cy), r in zip(cfg.centers, cfg.r):
         parts.append(
-            _label(((ai[0] + aj[0]) / 2.0, (ai[1] + aj[1]) / 2.0), f"d{i}{j}")
+            f'<circle class="horocycle" cx="{CENTER + SCALE * cx:.6f}" '
+            f'cy="{CENTER - SCALE * cy:.6f}" r="{SCALE * r:.6f}"/>'
+        )
+    tangency = (None,) + cfg.tangency_points
+    px = [None] + [(CENTER + SCALE * x, CENTER - SCALE * y) for x, y in cfg.tangency_points]
+    for i, j in PAIRS:
+        (ax, ay), (bx, by) = tangency[i], tangency[j]
+        (x1, y1), (x2, y2) = px[i], px[j]
+        parts.append(
+            f'<line class="chord" x1="{x1:.6f}" y1="{y1:.6f}" x2="{x2:.6f}" y2="{y2:.6f}"/>\n'
+            f'<text class="label" x="{CENTER + SCALE * ((ax + bx) / 2.0):.6f}" '
+            f'y="{CENTER - SCALE * ((ay + by) / 2.0):.6f}">d{i}{j}</text>'
         )
     for i, j in PAIRS:
-        ti, tj = bitangent_segment(cfg, i, j)
-        parts.append(_line(ti, tj, "bitangent"))
+        (ax, ay), (bx, by) = bitangent_segment(cfg, i, j)
         parts.append(
-            _label(((ti[0] + tj[0]) / 2.0, (ti[1] + tj[1]) / 2.0), f"t{i}{j}")
+            f'<line class="bitangent" x1="{CENTER + SCALE * ax:.6f}" '
+            f'y1="{CENTER - SCALE * ay:.6f}" x2="{CENTER + SCALE * bx:.6f}" '
+            f'y2="{CENTER - SCALE * by:.6f}"/>\n'
+            f'<text class="label" x="{CENTER + SCALE * ((ax + bx) / 2.0):.6f}" '
+            f'y="{CENTER - SCALE * ((ay + by) / 2.0):.6f}">t{i}{j}</text>'
         )
     for i, j in PAIRS:
+        (x1, y1), (x2, y2) = px[i], px[j]
+        arc = _geodesic_arc(tangency[i], tangency[j])
+        if arc is None:
+            parts.append(
+                f'<line class="geodesic" x1="{x1:.6f}" y1="{y1:.6f}" '
+                f'x2="{x2:.6f}" y2="{y2:.6f}"/>'
+            )
+            continue
+        (mx, my), radius = arc
+        (ax, ay), (bx, by) = tangency[i], tangency[j]
+        # Minor arc; math-counterclockwise becomes sweep 0 after the y flip.
+        sweep = 0 if (ax - mx) * (by - my) - (ay - my) * (bx - mx) > 0 else 1
+        rpx = f"{SCALE * radius:.6f}"
         parts.append(
-            _geodesic_element(2.0 * cfg.alpha[i - 1], 2.0 * cfg.alpha[j - 1])
+            f'<path class="geodesic" d="M {x1:.6f} {y1:.6f} '
+            f'A {rpx} {rpx} 0 0 {sweep} {x2:.6f} {y2:.6f}"/>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    parts.append("</svg>\n")
+    # Every "-" before a digit is a number's sign, so this maps each
+    # negative zero to "0.000000" without touching any other number.
+    return "\n".join(parts).replace("-0.000000", "0.000000")

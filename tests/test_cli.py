@@ -90,6 +90,23 @@ class TestExitCodes:
         code, _, _ = run(capsys, "measure", str(DATA / "does_not_exist.json"))
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv,expected",
+        [
+            # Off the quadric (relative residual 2/3) at a scale of 1e-6.
+            (("rescale", "tiny_off_quadric.json", "tiny_off_quadric.json"), 4),
+            (("plucker", "reconstruct", "tiny_off_quadric.json"), 4),
+            (("rescale", "square_chords.json", "infinite_entry.json"), 3),
+            (("rescale", "infinite_entry.json", "square_chords.json"), 3),
+        ],
+    )
+    def test_rejected_tuples(self, capsys, argv, expected):
+        args = [a if not a.endswith(".json") else str(DATA / a) for a in argv]
+        code, out, err = run(capsys, *args)
+        assert code == expected
+        assert out == ""
+        assert err.startswith("error:")
+
 
 class TestRescale:
     def test_chords_to_bitangents(self, capsys):

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_config, square_config
 from threeterm.errors import ConfigurationError
+from threeterm.horocycles import horocycle_from_tangency
 from threeterm.measurements import (
     ConcyclicConfig,
     bitangent,
@@ -18,9 +20,27 @@ from threeterm.measurements import (
     measure_all,
     plucker_measure,
 )
+from threeterm.models import BoundaryPoint
 from threeterm.relations import PAIRS, relative_residual
 
 SQRT2 = math.sqrt(2.0)
+
+
+@st.composite
+def configs(draw) -> ConcyclicConfig:
+    """Valid configurations: half-angles from positive gaps, log-uniform radii.
+
+    Draws whose circles overlap are dropped.
+    """
+    weights = draw(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=5, max_size=5))
+    total = sum(weights)
+    alpha = [math.pi * sum(weights[:k + 1]) / total for k in range(4)]
+    r = [10.0 ** e for e in draw(st.lists(st.floats(min_value=-9.0, max_value=-0.25),
+                                          min_size=4, max_size=4))]
+    try:
+        return ConcyclicConfig(tuple(alpha), tuple(r))
+    except ConfigurationError:
+        assume(False)
 
 
 class TestConfigValidation:
@@ -198,3 +218,30 @@ class TestMeasureAll:
             table = measure_all(random_config(rng))
             for tup in (table.d, table.t, table.lam, table.p):
                 assert all(v > 0.0 for v in tup.values())
+
+
+class TestRescalingConstruction:
+    """measure_all builds t and lambda from d; each entry must equal the per-pair path."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(cfg=configs())
+    def test_families_equal_per_pair_functions(self, cfg):
+        table = measure_all(cfg)
+        for k, (i, j) in enumerate(PAIRS):
+            assert table.d.values()[k] == chord(cfg, i, j)
+            assert table.t.values()[k] == bitangent(cfg, i, j)
+            assert table.lam.values()[k] == lambda_measure(cfg, i, j)
+            assert table.p.values()[k] == plucker_measure(cfg, i, j)
+
+    @settings(max_examples=50, deadline=None)
+    @given(cfg=configs())
+    def test_cached_geometry_equals_fresh(self, cfg):
+        for i in range(1, 5):
+            two_alpha = 2.0 * cfg.alpha[i - 1]
+            point = (math.cos(two_alpha), math.sin(two_alpha))
+            assert cfg.tangency_point(i) == point
+            scale = 1.0 - cfg.r[i - 1]
+            assert euclidean_center(cfg, i) == (scale * point[0], scale * point[1])
+            first = cfg.horocycle(i)
+            assert first == horocycle_from_tangency(BoundaryPoint(two_alpha), cfg.r[i - 1])
+            assert cfg.horocycle(i) is first

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_config, square_config
 from threeterm.errors import DegenerateError, NotSameOrbitError, OffQuadricError
@@ -18,6 +18,7 @@ from threeterm.relations import (
     cross_ratio_invariant,
     cross_ratio_points,
     is_on_quadric,
+    quadric_scale,
     ratio_tuple,
     relative_residual,
     rescaling_solve,
@@ -87,6 +88,41 @@ class TestResidual:
     def test_tol_must_be_positive(self):
         with pytest.raises(ValueError):
             is_on_quadric(SQUARE_CHORDS, 0.0)
+
+    def test_nan_tol_rejected(self):
+        with pytest.raises(ValueError):
+            is_on_quadric(SixTuple(1, 2, 3, 4, 5, 6), math.nan)
+
+    def test_scale_is_largest_monomial(self):
+        # No floor at 1: a tuple of tiny entries is judged by its own monomials.
+        tiny = SixTuple(1e-6, 2e-6, 3e-6, 4e-6, 5e-6, 6e-6)
+        assert quadric_scale(tiny) == pytest.approx(12e-12)
+        assert relative_residual(tiny) == pytest.approx(2.0 / 3.0)
+        assert not is_on_quadric(tiny, 1e-10)
+
+    def test_zero_tuple_relative_residual(self):
+        assert relative_residual(SixTuple(0, 0, 0, 0, 0, 0)) == 0.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=8, max_size=8),
+        entries=st.lists(nonzero_scalar, min_size=6, max_size=6),
+        from_matrix=st.booleans(),
+        s=st.floats(min_value=1e-8, max_value=1e8),
+    )
+    def test_membership_invariant_under_scaling(self, rows, entries, from_matrix, s):
+        if from_matrix:
+            x, y = rows[:4], rows[4:]
+            t = SixTuple(*[x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1] for i, j in PAIRS])
+        else:
+            t = SixTuple(*entries)
+        assume(quadric_scale(t) > 1e-6)
+        # Within a few rounding errors of the tolerance the test may flip
+        # either way; away from it, membership must not depend on scale.
+        rr = relative_residual(t)
+        assume(rr < 1e-12 or rr > 1e-8)
+        scaled = SixTuple(*[s * v for v in t])
+        assert is_on_quadric(scaled, 1e-10) == is_on_quadric(t, 1e-10)
 
 
 class TestTorusAction:
@@ -322,6 +358,21 @@ class TestSixTuple:
 
     def test_iteration(self):
         assert list(SixTuple(1, 2, 3, 4, 5, 6)) == [1, 2, 3, 4, 5, 6]
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan,
+                                     complex(1.0, math.inf), complex(math.nan, 0.0)])
+    def test_non_finite_entry_rejected(self, bad):
+        with pytest.raises(DegenerateError):
+            SixTuple(1.0, 2.0, 3.0, 4.0, 5.0, bad)
+
+    def test_large_finite_entries_accepted(self):
+        t = SixTuple(1e308, -1e308, 1e308, complex(1e308, -1e308), 1.0, 2.0)
+        assert t.a12 == 1e308
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan, complex(0.0, math.inf)])
+    def test_torus_element_non_finite_rejected(self, bad):
+        with pytest.raises(DegenerateError):
+            TorusElement(1.0, bad, 1.0, 1.0)
 
     def test_ratio_type(self):
         c = RatioTuple(1, 1, 1, 1, 1, 1)
