@@ -15,7 +15,7 @@ from .errors import (
     NotSameOrbitError,
     OffQuadricError,
 )
-from .grassmann import Matrix2x4, PluckerVector, column_permute, column_rescale, minors, reconstruct
+from .grassmann import Matrix2x4, column_permute, column_rescale, minors, reconstruct
 from .horocycles import (
     EuclideanCircle,
     Horocycle,
@@ -27,19 +27,13 @@ from .horocycles import (
 from .measurements import (
     ConcyclicConfig,
     MeasurementTable,
-    bitangent,
     bitangent_direct,
-    chord,
-    euclidean_center,
-    lambda_measure,
     lambda_minkowski,
     measure_all,
-    plucker_measure,
 )
 from .models import (
     BoundaryPoint,
     DiskPoint,
-    Geodesic,
     HyperboloidPoint,
     LightConePoint,
     MinkowskiVec,
@@ -56,13 +50,11 @@ from .models import (
 )
 from .relations import (
     PAIRS,
-    RatioTuple,
     SixTuple,
     TorusElement,
     cross_ratio_invariant,
     cross_ratio_points,
     is_on_quadric,
-    ratio_tuple,
     relative_residual,
     rescaling_solve,
     residual,
@@ -78,7 +70,6 @@ __all__ = [
     "DiskPoint",
     "DomainError",
     "EuclideanCircle",
-    "Geodesic",
     "GeometryError",
     "Horocycle",
     "HyperboloidPoint",
@@ -90,22 +81,17 @@ __all__ = [
     "NotSameOrbitError",
     "OffQuadricError",
     "PAIRS",
-    "PluckerVector",
-    "RatioTuple",
     "SixTuple",
     "TorusElement",
     "UhpPoint",
-    "bitangent",
     "bitangent_direct",
     "cayley_disk_to_uhp",
     "cayley_uhp_to_disk",
-    "chord",
     "column_permute",
     "column_rescale",
     "cross_ratio_invariant",
     "cross_ratio_points",
     "disk_to_hyperboloid",
-    "euclidean_center",
     "geodesic_ideal_endpoints",
     "horocycle_from_tangency",
     "horocycle_to_circle",
@@ -114,14 +100,11 @@ __all__ = [
     "hyperboloid_to_disk",
     "is_on_quadric",
     "lambda_length",
-    "lambda_measure",
     "lambda_minkowski",
     "lightcone_to_boundary",
     "measure_all",
     "mink_pair",
     "minors",
-    "plucker_measure",
-    "ratio_tuple",
     "reconstruct",
     "relative_residual",
     "render_svg",

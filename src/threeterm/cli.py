@@ -3,7 +3,8 @@
 Subcommands: measure, rescale, plucker minors, plucker reconstruct, render,
 crossratio.  Input documents are JSON; complex numbers are written as
 [re, im] pairs.  Exit codes: 0 success, 1 relation failure beyond tolerance,
-2 unparseable document, 3 invalid configuration or degenerate values,
+2 unparseable document or a --tol that is not a positive finite number,
+3 invalid configuration or degenerate values (a non-finite cross-ratio too),
 4 quadric/orbit failure (off-quadric input, cross-ratio mismatch).
 """
 
@@ -41,6 +42,14 @@ EXIT_RELATION_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_INVALID_CONFIG = 3
 EXIT_ORBIT = 4
+
+
+def positive_finite(text: str) -> float:
+    """Parse a --tol value; argparse exits 2 unless it is positive and finite."""
+    tol = float(text)
+    if not 0.0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    return tol
 
 
 class DocumentError(ValueError):
@@ -322,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     measure = sub.add_parser("measure", help="measure a four-circle configuration")
     measure.add_argument("config", help="JSON config document (concyclic or lightcone)")
-    measure.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    measure.add_argument("--tol", type=positive_finite, default=DEFAULT_TOL)
     fmt = measure.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--table", action="store_true")
@@ -331,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     rescale = sub.add_parser("rescale", help="solve b_ij = q_i q_j a_ij for q")
     rescale.add_argument("file_a", help="six-tuple JSON array (order 12,13,14,23,24,34)")
     rescale.add_argument("file_b", help="six-tuple JSON array")
-    rescale.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    rescale.add_argument("--tol", type=positive_finite, default=DEFAULT_TOL)
     rescale.add_argument("--json", action="store_true")
     rescale.set_defaults(func=cmd_rescale)
 
@@ -343,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     pminors.set_defaults(func=cmd_plucker_minors)
     precon = plucker_sub.add_parser("reconstruct")
     precon.add_argument("file", help="six-tuple JSON array")
-    precon.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    precon.add_argument("--tol", type=positive_finite, default=DEFAULT_TOL)
     precon.add_argument("--json", action="store_true")
     precon.set_defaults(func=cmd_plucker_reconstruct)
 

@@ -16,10 +16,6 @@ import numpy as np
 from .errors import DomainError, OffQuadricError
 from .relations import PAIRS, SixTuple, is_on_quadric, residual
 
-#: Minors of a matrix form a SixTuple lying on the quadric.
-PluckerVector = SixTuple
-
-
 @dataclass(frozen=True)
 class Matrix2x4:
     """A 2x4 matrix of real or complex entries."""
@@ -45,14 +41,14 @@ class Matrix2x4:
         return self.rows[:, i - 1]
 
 
-def minors(m: Matrix2x4) -> PluckerVector:
+def minors(m: Matrix2x4) -> SixTuple:
     """The six minors P_ij = x_i*y_j - x_j*y_i, in index order 12,13,14,23,24,34."""
     x, y = m.rows[0], m.rows[1]
     vals = [x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1] for i, j in PAIRS]
     return SixTuple.from_values(complex(v) if np.iscomplexobj(m.rows) else float(v) for v in vals)
 
 
-def reconstruct(p: PluckerVector, tol: float = 1e-10) -> Matrix2x4:
+def reconstruct(p: SixTuple, tol: float = 1e-10) -> Matrix2x4:
     """A matrix whose minors reproduce an on-quadric six-tuple.
 
     Pivots on the largest-magnitude entry P_ij (ties by index order) and

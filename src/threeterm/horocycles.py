@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateError, DomainError
-from .models import BoundaryPoint, LightConePoint, MinkowskiVec, lightcone_to_boundary, mink_pair
+from .models import BoundaryPoint, LightConePoint, MinkowskiVec, mink_pair
 
 SQRT2 = math.sqrt(2.0)
 
@@ -24,10 +24,6 @@ class Horocycle:
     """A horocycle, represented by a point of the positive light cone."""
 
     u: LightConePoint
-
-    @property
-    def center(self) -> BoundaryPoint:
-        return lightcone_to_boundary(self.u)
 
 
 @dataclass(frozen=True)

@@ -84,12 +84,6 @@ class ConcyclicConfig:
                     f"circles {i + 1} and {j + 1} overlap (gap {gap:.3e})"
                 )
 
-    def tangency_point(self, i: int) -> tuple[float, float]:
-        """The point A_i = (cos 2a_i, sin 2a_i) on the unit circle (1-based)."""
-        if not 1 <= i <= 4:
-            raise IndexError(f"index out of range: {i}")
-        return self.tangency_points[i - 1]
-
     @cached_property
     def _horocycles(self) -> tuple[Horocycle, ...]:
         return tuple(
@@ -114,30 +108,11 @@ class MeasurementTable:
     p: SixTuple
 
 
-def chord(cfg: ConcyclicConfig, i: int, j: int) -> float:
-    """Chord length |A_i - A_j| = 2 sin(a_j - a_i)."""
-    _check_pair(i, j)
-    return 2.0 * math.sin(cfg.alpha[j - 1] - cfg.alpha[i - 1])
-
-
-def euclidean_center(cfg: ConcyclicConfig, i: int) -> tuple[float, float]:
-    """Center of circle i: distance 1 - r_i from the origin toward A_i."""
-    if not 1 <= i <= 4:
-        raise IndexError(f"index out of range: {i}")
-    return cfg.centers[i - 1]
-
-
-def bitangent(cfg: ConcyclicConfig, i: int, j: int) -> float:
-    """Exterior bitangent length, via t_ij = sqrt(1-r_i) sqrt(1-r_j) d_ij."""
-    _check_pair(i, j)
-    return math.sqrt(1.0 - cfg.r[i - 1]) * math.sqrt(1.0 - cfg.r[j - 1]) * chord(cfg, i, j)
-
-
 def bitangent_direct(cfg: ConcyclicConfig, i: int, j: int) -> float:
     """Independent bitangent oracle: sqrt(c^2 - (r_i - r_j)^2) from the centers.
 
     Kept deliberately free of the chord shortcut so it can cross-check
-    bitangent(); c is the distance between the two circle centers.
+    measure_all's t; c is the distance between the two circle centers.
     """
     _check_pair(i, j)
     ci, cj = cfg.centers[i - 1], cfg.centers[j - 1]
@@ -149,44 +124,26 @@ def bitangent_direct(cfg: ConcyclicConfig, i: int, j: int) -> float:
     return math.sqrt(arg)
 
 
-def lambda_measure(cfg: ConcyclicConfig, i: int, j: int) -> float:
-    """Lambda length via t_ij = lambda_ij sqrt(2 r_i) sqrt(2 r_j)."""
-    _check_pair(i, j)
-    return bitangent(cfg, i, j) / (
-        math.sqrt(2.0 * cfg.r[i - 1]) * math.sqrt(2.0 * cfg.r[j - 1])
-    )
-
-
 def lambda_minkowski(cfg: ConcyclicConfig, i: int, j: int) -> float:
     """Lambda length via the light-cone pairing; independent of the bitangent path."""
     _check_pair(i, j)
     return lambda_length(cfg.horocycle(i), cfg.horocycle(j)).value
 
 
-def plucker_measure(cfg: ConcyclicConfig, i: int, j: int) -> float:
-    """Determinant of the unit columns (cos a_i, sin a_i), (cos a_j, sin a_j).
-
-    Equals sin(a_j - a_i) = d_ij / 2 for i < j; antisymmetric in (i, j).
-    """
-    if not (1 <= i <= 4 and 1 <= j <= 4) or i == j:
-        raise IndexError(f"need distinct indices in 1..4, got ({i}, {j})")
-    ai, aj = cfg.alpha[i - 1], cfg.alpha[j - 1]
-    return math.cos(ai) * math.sin(aj) - math.cos(aj) * math.sin(ai)
-
-
 def measure_all(cfg: ConcyclicConfig) -> MeasurementTable:
     """All four measurement families, indexed in the order 12,13,14,23,24,34.
 
-    Entry for entry equal (==) to chord, bitangent, lambda_measure and
-    plucker_measure: the same operations in the same order, with d computed
-    once and each pair's factors shared.
+    d_ij = 2 sin(a_j - a_i); t is the torus image of d under
+    q_i = sqrt(1 - r_i); lambda_ij = t_ij / (sqrt(2 r_i) sqrt(2 r_j)); and
+    P_ij = cos a_i sin a_j - cos a_j sin a_i, the minors of the unit
+    half-angle columns, which equal d_ij / 2.
     """
     alpha, r = cfg.alpha, cfg.r
     d = SixTuple(*[2.0 * math.sin(alpha[j - 1] - alpha[i - 1]) for i, j in PAIRS])
     t = torus_apply(TorusElement(*[math.sqrt(1.0 - v) for v in r]), d)
     s = [math.sqrt(2.0 * v) for v in r]
-    # Divide by s_i*s_j rather than multiply by the torus inverse: the
-    # quotient is what lambda_measure rounds to.
+    # Divide by s_i*s_j rather than multiply by the torus inverse, which
+    # would round differently and change the reported lambda lengths.
     lam = SixTuple(*[v / (s[i - 1] * s[j - 1]) for (i, j), v in zip(PAIRS, t)])
     cos = [math.cos(a) for a in alpha]
     sin = [math.sin(a) for a in alpha]

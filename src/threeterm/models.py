@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DegenerateError, DomainError
+from .relations import cross_ratio_points
 
 TWO_PI = 2.0 * math.pi
 
@@ -181,25 +182,6 @@ class UhpPoint:
         return (complex(self.re, self.im), 1.0 + 0.0j)
 
 
-@dataclass(frozen=True)
-class Geodesic:
-    """A complete geodesic, stored by its two ideal endpoints.
-
-    model is "disk" (endpoints are BoundaryPoints) or "uhp" (endpoints are
-    ideal UhpPoints).
-    """
-
-    model: str
-    endpoints: tuple
-
-    def __post_init__(self):
-        if self.model not in ("disk", "uhp"):
-            raise DomainError(f"unknown model tag: {self.model!r}")
-        a, b = self.endpoints
-        if a == b:
-            raise DegenerateError(f"geodesic endpoints coincide: {a}")
-
-
 def disk_to_hyperboloid(p: DiskPoint) -> HyperboloidPoint:
     """Lift a disk point to the hyperboloid: (x,y) -> (2x, 2y, 1+x^2+y^2)/(1-x^2-y^2)."""
     s = p.x * p.x + p.y * p.y
@@ -277,10 +259,6 @@ def geodesic_ideal_endpoints(w1: UhpPoint, w2: UhpPoint) -> tuple[UhpPoint, UhpP
     return (right, left)
 
 
-def _det2(a: tuple[complex, complex], b: tuple[complex, complex]) -> complex:
-    return a[0] * b[1] - a[1] * b[0]
-
-
 def hyp_distance_crossratio(w1: UhpPoint, w2: UhpPoint) -> float:
     """Hyperbolic distance via the cross-ratio of (w1, endpoint, w2, endpoint).
 
@@ -290,12 +268,8 @@ def hyp_distance_crossratio(w1: UhpPoint, w2: UhpPoint) -> float:
     confirms is order-independent.
     """
     e1, e2 = geodesic_ideal_endpoints(w1, w2)
-    x1, x2, x3, x4 = (p.projective() for p in (w1, e1, w2, e2))
-    num = _det2(x1, x2) * _det2(x3, x4)
-    den = _det2(x2, x3) * _det2(x1, x4)
-    if den == 0:
-        raise DegenerateError("degenerate cross-ratio in distance computation")
-    return abs(math.log(abs(num / den)))
+    cr = cross_ratio_points(*(p.projective() for p in (w1, e1, w2, e2)))
+    return abs(math.log(abs(cr)))
 
 
 def hyp_distance_hyperboloid(v1: HyperboloidPoint, v2: HyperboloidPoint) -> float:

@@ -54,10 +54,6 @@ class SixTuple:
     def __iter__(self):
         return iter(self.values())
 
-    @property
-    def is_complex(self) -> bool:
-        return any(isinstance(v, complex) for v in self.values())
-
 
 @dataclass(frozen=True)
 class TorusElement:
@@ -82,21 +78,6 @@ class TorusElement:
         return TorusElement(-self.q1, -self.q2, -self.q3, -self.q4)
 
 
-@dataclass(frozen=True)
-class RatioTuple:
-    """Entrywise ratios c_ij = b_ij / a_ij of two nonvanishing six-tuples."""
-
-    c12: Scalar
-    c13: Scalar
-    c14: Scalar
-    c23: Scalar
-    c24: Scalar
-    c34: Scalar
-
-    def values(self) -> tuple[Scalar, ...]:
-        return (self.c12, self.c13, self.c14, self.c23, self.c24, self.c34)
-
-
 def residual(t: SixTuple) -> Scalar:
     """a12*a34 + a14*a23 - a13*a24; zero exactly on the quadric."""
     return t.a12 * t.a34 + t.a14 * t.a23 - t.a13 * t.a24
@@ -111,18 +92,44 @@ def quadric_scale(t: SixTuple) -> float:
     return max(abs(t.a12 * t.a34), abs(t.a14 * t.a23), abs(t.a13 * t.a24))
 
 
+def _ldexp(v: Scalar, e: int) -> complex:
+    """v * 2**e as a complex number, exact unless it underflows."""
+    return complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))
+
+
+def _residual_and_scale(t: SixTuple) -> tuple[Scalar, float]:
+    """residual(t) and quadric_scale(t), divided alike by a power of two.
+
+    The power is 1 while the largest monomial lies in [2^-969, 2^1022], where
+    no sum overflows and one below 2^-1022 is under 2^-53 of the largest.
+    Outside it, the monomials are formed from frexp mantissas and exponents,
+    scaled so that the largest is near 1: t and 2^k*t give the same answers.
+    """
+    scale = quadric_scale(t)
+    if 2.0 ** -969 <= scale <= 2.0 ** 1022:
+        return residual(t), scale
+    parts = []
+    for x, y in ((t.a12, t.a34), (t.a14, t.a23), (t.a13, t.a24)):
+        ex, ey = (math.frexp(max(abs(v.real), abs(v.imag)))[1] for v in (x, y))
+        parts.append((_ldexp(x, -ex) * _ldexp(y, -ey), ex + ey))
+    top = max((e for m, e in parts if m), default=0)
+    m1, m2, m3 = (_ldexp(m, e - top) for m, e in parts)
+    return m1 + m2 - m3, max(abs(m1), abs(m2), abs(m3))
+
+
 def relative_residual(t: SixTuple) -> float:
     """|residual| over the largest monomial; 0.0 when every monomial is zero."""
-    scale = quadric_scale(t)
+    res, scale = _residual_and_scale(t)
     if scale == 0.0:
         return 0.0
-    return abs(residual(t)) / scale
+    return abs(res) / scale
 
 
 def is_on_quadric(t: SixTuple, tol: float) -> bool:
     if not tol > 0.0:
         raise ValueError(f"tolerance must be positive: {tol}")
-    return abs(residual(t)) <= tol * quadric_scale(t)
+    res, scale = _residual_and_scale(t)
+    return abs(res) <= tol * scale
 
 
 def torus_apply(q: TorusElement, t: SixTuple) -> SixTuple:
@@ -140,16 +147,8 @@ def cross_ratio_invariant(t: SixTuple) -> Scalar:
     return t.a12 * t.a34 / den
 
 
-def ratio_tuple(a: SixTuple, b: SixTuple) -> RatioTuple:
-    if any(v == 0 for v in a.values()) or any(v == 0 for v in b.values()):
-        raise DegenerateError("ratio tuple requires all twelve entries nonzero")
-    return RatioTuple(*(bv / av for av, bv in zip(a.values(), b.values())))
-
-
 def _principal_sqrt(x: Scalar) -> Scalar:
-    if isinstance(x, complex):
-        return cmath.sqrt(x)
-    if x < 0.0:
+    if isinstance(x, complex) or x < 0.0:
         return cmath.sqrt(x)
     return math.sqrt(x)
 
@@ -166,7 +165,9 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = 1e-10) -> TorusElemen
     tuple misses the quadric, and NotSameOrbitError when the invariants
     disagree (or the reconstructed q fails to match within tol).
     """
-    c = ratio_tuple(a, b)
+    if any(v == 0 for v in a.values() + b.values()):
+        raise DegenerateError("rescaling requires all twelve entries nonzero")
+    c12, c13, c14, c23 = b.a12 / a.a12, b.a13 / a.a13, b.a14 / a.a14, b.a23 / a.a23
     for name, t in (("first", a), ("second", b)):
         if not is_on_quadric(t, tol):
             raise OffQuadricError(
@@ -181,8 +182,8 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = 1e-10) -> TorusElemen
             invariant_a=inv_a,
             invariant_b=inv_b,
         )
-    q1 = _principal_sqrt(c.c12 * c.c13 / c.c23)
-    q = TorusElement(q1, c.c12 / q1, c.c13 / q1, c.c14 / q1)
+    q1 = _principal_sqrt(c12 * c13 / c23)
+    q = TorusElement(q1, c12 / q1, c13 / q1, c14 / q1)
     # Postcondition: every pair product matches within tol, else the inputs
     # were not genuinely orbit-equivalent at this tolerance.
     qs = (None, q.q1, q.q2, q.q3, q.q4)
@@ -202,7 +203,8 @@ def cross_ratio_points(x1, x2, x3, x4) -> Scalar:
     Points are 2-component homogeneous vectors (finite x as (x, 1), infinity
     as (1, 0)); the value is P12*P34/(P23*P14) with P_ij the 2x2 determinant.
     Rescaling any single vector leaves the value unchanged.  Coincidences are
-    allowed only while the denominator stays nonzero.
+    allowed only while the denominator stays nonzero.  A value that is not
+    finite (from an infinite component or an overflow) raises DegenerateError.
     """
 
     def det(p, q):
@@ -211,4 +213,7 @@ def cross_ratio_points(x1, x2, x3, x4) -> Scalar:
     den = det(x2, x3) * det(x1, x4)
     if den == 0:
         raise DegenerateError("cross-ratio undefined: P23*P14 = 0")
-    return det(x1, x2) * det(x3, x4) / den
+    value = det(x1, x2) * det(x3, x4) / den
+    if not cmath.isfinite(value):
+        raise DegenerateError(f"cross-ratio is not finite: {value}")
+    return value

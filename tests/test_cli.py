@@ -98,6 +98,13 @@ class TestExitCodes:
             (("plucker", "reconstruct", "tiny_off_quadric.json"), 4),
             (("rescale", "square_chords.json", "infinite_entry.json"), 3),
             (("rescale", "infinite_entry.json", "square_chords.json"), 3),
+            # Off the quadric at a scale of 1e-170, where the monomials underflow.
+            (("plucker", "reconstruct", "underflow_off_quadric.json"), 4),
+            (("rescale", "underflow_off_quadric.json", "underflow_off_quadric.json"), 4),
+            # Cross-ratios that come out NaN, NaN and -Infinity.
+            (("crossratio", "crossratio_infinite_point.json"), 3),
+            (("crossratio", "crossratio_overflow_nan.json", "--json"), 3),
+            (("crossratio", "crossratio_overflow_infinity.json", "--json"), 3),
         ],
     )
     def test_rejected_tuples(self, capsys, argv, expected):
@@ -106,6 +113,24 @@ class TestExitCodes:
         assert code == expected
         assert out == ""
         assert err.startswith("error:")
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "1e-400", "nan", "inf"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("measure", "square_config.json", "--json"),
+            ("rescale", "square_chords.json", "square_bitangents.json"),
+            ("plucker", "reconstruct", "square_chords.json"),
+        ],
+    )
+    def test_tol_must_be_positive_finite(self, capsys, argv, tol):
+        args = [a if not a.endswith(".json") else str(DATA / a) for a in argv]
+        with pytest.raises(SystemExit) as info:
+            main([*args, f"--tol={tol}"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "argument --tol: must be a positive finite number" in err
 
 
 class TestRescale:

@@ -5,6 +5,7 @@ from itertools import permutations
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_config
 from threeterm.errors import DomainError, OffQuadricError
@@ -15,7 +16,7 @@ from threeterm.grassmann import (
     minors,
     reconstruct,
 )
-from threeterm.measurements import plucker_measure
+from threeterm.measurements import measure_all
 from threeterm.relations import (
     PAIRS,
     SixTuple,
@@ -28,6 +29,10 @@ from threeterm.relations import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+matrices = st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=8, max_size=8).map(
+    lambda v: Matrix2x4([v[:4], v[4:]])
+)
 
 
 def max_minor_dev(a: SixTuple, b: SixTuple) -> float:
@@ -70,9 +75,8 @@ class TestMinors:
             [math.cos(a) for a in cfg.alpha],
             [math.sin(a) for a in cfg.alpha],
         ])
-        p = minors(m)
-        for (i, j), got in zip(PAIRS, p.values()):
-            assert abs(got - plucker_measure(cfg, i, j)) < 1e-15
+        for got, want in zip(minors(m), measure_all(cfg).p):
+            assert abs(got - want) < 1e-15
 
     def test_always_on_quadric(self):
         rng = np.random.default_rng(137)
@@ -163,17 +167,23 @@ class TestColumnPermute:
         m = Matrix2x4([[1, 2, 3, 4], [5, 6, 7, 8]])
         assert np.array_equal(column_permute(m, (1, 2, 3, 4)).rows, m.rows)
 
-    def test_swap_sign_law(self):
-        m = Matrix2x4([[1, 2, 3, 4], [5, 6, 7, 8]])
-        p = minors(m)
-        swapped = minors(column_permute(m, (2, 1, 3, 4)))
-        assert swapped.a12 == -p.a12
-        assert abs(relative_residual(swapped)) < 1e-14
+    @settings(max_examples=200, deadline=None)
+    @given(m=matrices, sigma=st.permutations((1, 2, 3, 4)))
+    def test_swap_sign_law(self, m, sigma):
+        # Minor kl of the permuted matrix is P_{sigma k, sigma l}, with
+        # P_ji = -P_ij: the same products, so equal to the last bit.
+        p = dict(zip(PAIRS, minors(m)))
+        for (k, l), got in zip(PAIRS, minors(column_permute(m, sigma))):
+            i, j = sigma[k - 1], sigma[l - 1]
+            assert got == (p[i, j] if i < j else -p[j, i])
 
-    def test_all_permutations_stay_on_quadric(self):
-        m = Matrix2x4(np.random.default_rng(167).normal(size=(2, 4)))
+    @settings(max_examples=100, deadline=None)
+    @given(m=matrices)
+    def test_all_permutations_stay_on_quadric(self, m):
+        # Minors whose rounding leaves them off the quadric say nothing here.
+        assume(relative_residual(minors(m)) <= 1e-12)
         for sigma in permutations((1, 2, 3, 4)):
-            assert relative_residual(minors(column_permute(m, sigma))) <= 1e-12
+            assert is_on_quadric(minors(column_permute(m, sigma)), 1e-10)
 
     def test_invalid_permutation(self):
         m = Matrix2x4(np.eye(2, 4))

@@ -11,14 +11,9 @@ from threeterm.errors import ConfigurationError
 from threeterm.horocycles import horocycle_from_tangency
 from threeterm.measurements import (
     ConcyclicConfig,
-    bitangent,
     bitangent_direct,
-    chord,
-    euclidean_center,
-    lambda_measure,
     lambda_minkowski,
     measure_all,
-    plucker_measure,
 )
 from threeterm.models import BoundaryPoint
 from threeterm.relations import PAIRS, relative_residual
@@ -80,80 +75,81 @@ class TestConfigValidation:
 class TestChord:
     def test_diameter(self):
         cfg = ConcyclicConfig((0.1, 0.2, 0.1 + math.pi / 2, 2.9), (0.01,) * 4)
-        assert abs(chord(cfg, 1, 3) - 2.0) < 1e-15
+        assert abs(measure_all(cfg).d.a13 - 2.0) < 1e-15
 
     def test_square_values(self):
-        cfg = square_config()
-        assert abs(chord(cfg, 1, 2) - SQRT2) < 1e-15
-        assert abs(chord(cfg, 1, 3) - 2.0) < 1e-15
-        assert abs(chord(cfg, 1, 4) - SQRT2) < 1e-15
+        d = measure_all(square_config()).d
+        assert abs(d.a12 - SQRT2) < 1e-15
+        assert abs(d.a13 - 2.0) < 1e-15
+        assert abs(d.a14 - SQRT2) < 1e-15
 
     def test_coordinate_oracle(self):
         rng = np.random.default_rng(37)
         for _ in range(200):
             cfg = random_config(rng)
-            for i, j in PAIRS:
-                ai = cfg.tangency_point(i)
-                aj = cfg.tangency_point(j)
+            for (i, j), d in zip(PAIRS, measure_all(cfg).d):
+                ai = cfg.tangency_points[i - 1]
+                aj = cfg.tangency_points[j - 1]
                 norm = math.hypot(ai[0] - aj[0], ai[1] - aj[1])
-                assert abs(chord(cfg, i, j) - norm) < 1e-12
+                assert abs(d - norm) < 1e-12
 
     @pytest.mark.parametrize("pair", [(1, 1), (2, 1), (0, 2), (3, 5)])
     def test_index_errors(self, pair):
-        with pytest.raises(IndexError):
-            chord(square_config(), *pair)
+        # The per-pair oracles take the pairs i < j of 1..4 only.
+        for oracle in (bitangent_direct, lambda_minkowski):
+            with pytest.raises(IndexError):
+                oracle(square_config(), *pair)
 
 
 class TestEuclideanCenter:
     def test_worked_example(self):
         cfg = ConcyclicConfig((0.0, 0.9, 1.8, 2.7), (1 / 3, 0.1, 0.1, 0.1))
-        cx, cy = euclidean_center(cfg, 1)
+        cx, cy = cfg.centers[0]
         assert abs(cx - 2 / 3) < 1e-15 and cy == 0.0
 
     def test_tiny_radius_approaches_tangency(self):
         cfg = ConcyclicConfig((0.3, 0.9, 1.8, 2.7), (1e-9, 0.1, 0.1, 0.1))
-        cx, cy = euclidean_center(cfg, 1)
-        ax, ay = cfg.tangency_point(1)
+        cx, cy = cfg.centers[0]
+        ax, ay = cfg.tangency_points[0]
         assert math.hypot(cx - ax, cy - ay) < 2e-9
 
     def test_tangency_identity(self):
         rng = np.random.default_rng(41)
         for _ in range(100):
             cfg = random_config(rng)
-            for i in range(1, 5):
-                cx, cy = euclidean_center(cfg, i)
-                assert abs(math.hypot(cx, cy) + cfg.r[i - 1] - 1.0) < 1e-15
+            for (cx, cy), r in zip(cfg.centers, cfg.r):
+                assert abs(math.hypot(cx, cy) + r - 1.0) < 1e-15
 
 
 class TestBitangent:
     def test_square_value(self):
-        assert abs(bitangent(square_config(), 1, 2) - 0.75 * SQRT2) < 1e-15
+        assert abs(measure_all(square_config()).t.a12 - 0.75 * SQRT2) < 1e-15
 
     def test_point_degeneration(self):
-        cfg = ConcyclicConfig((0.3, 0.9, 1.8, 2.7), (1e-9,) * 4)
-        for i, j in PAIRS:
-            assert abs(bitangent(cfg, i, j) - chord(cfg, i, j)) <= 1e-8
+        table = measure_all(ConcyclicConfig((0.3, 0.9, 1.8, 2.7), (1e-9,) * 4))
+        for t, d in zip(table.t, table.d):
+            assert abs(t - d) <= 1e-8
 
     def test_direct_oracle(self):
         rng = np.random.default_rng(43)
         for _ in range(1000):
             cfg = random_config(rng)
-            for i, j in PAIRS:
-                t = bitangent(cfg, i, j)
+            for (i, j), t in zip(PAIRS, measure_all(cfg).t):
                 oracle = bitangent_direct(cfg, i, j)
                 assert abs(t - oracle) <= 1e-10 * oracle
 
 
 class TestLambdaMeasure:
     def test_square_value(self):
-        assert abs(lambda_measure(square_config(), 1, 2) - 3 / SQRT2) < 1e-14
+        assert abs(measure_all(square_config()).lam.a12 - 3 / SQRT2) < 1e-14
 
     def test_half_radius_unit_factor(self):
         # two half-radius circles fit only antipodally and only in the limit
         # r -> 1/2, where sqrt(2r_i)*sqrt(2r_j) -> 1 and lambda -> t
         r = 0.4999
         cfg = ConcyclicConfig((0.05, 0.8, 0.05 + math.pi / 2, 2.8), (r, 0.01, r, 0.01))
-        lam, t = lambda_measure(cfg, 1, 3), bitangent(cfg, 1, 3)
+        table = measure_all(cfg)
+        lam, t = table.lam.a13, table.t.a13
         assert abs(lam - t) <= 5e-4 * t
         assert abs(lam * 2.0 * r - t) < 1e-14
 
@@ -161,8 +157,7 @@ class TestLambdaMeasure:
         rng = np.random.default_rng(47)
         for _ in range(1000):
             cfg = random_config(rng)
-            for i, j in PAIRS:
-                lam = lambda_measure(cfg, i, j)
+            for (i, j), lam in zip(PAIRS, measure_all(cfg).lam):
                 oracle = lambda_minkowski(cfg, i, j)
                 assert abs(lam - oracle) <= 1e-10 * oracle
 
@@ -170,26 +165,22 @@ class TestLambdaMeasure:
 class TestPluckerMeasure:
     def test_right_angle(self):
         cfg = ConcyclicConfig((0.1, 0.2, 0.1 + math.pi / 2, 2.9), (0.01,) * 4)
-        assert abs(plucker_measure(cfg, 1, 3) - 1.0) < 1e-15
+        assert abs(measure_all(cfg).p.a13 - 1.0) < 1e-15
 
     def test_square_value(self):
-        assert abs(plucker_measure(square_config(), 1, 2) - SQRT2 / 2) < 1e-15
-
-    def test_antisymmetry(self):
-        cfg = square_config()
-        for i, j in PAIRS:
-            assert plucker_measure(cfg, j, i) == -plucker_measure(cfg, i, j)
+        assert abs(measure_all(square_config()).p.a12 - SQRT2 / 2) < 1e-15
 
     def test_equals_half_chord(self):
         rng = np.random.default_rng(53)
         for _ in range(200):
-            cfg = random_config(rng)
-            for i, j in PAIRS:
-                assert abs(2.0 * plucker_measure(cfg, i, j) - chord(cfg, i, j)) < 1e-12
+            table = measure_all(random_config(rng))
+            for p, d in zip(table.p, table.d):
+                assert abs(2.0 * p - d) < 1e-12
 
     def test_equal_index_rejected(self):
-        with pytest.raises(IndexError):
-            plucker_measure(square_config(), 2, 2)
+        for oracle in (bitangent_direct, lambda_minkowski):
+            with pytest.raises(IndexError):
+                oracle(square_config(), 2, 2)
 
 
 class TestMeasureAll:
@@ -221,17 +212,7 @@ class TestMeasureAll:
 
 
 class TestRescalingConstruction:
-    """measure_all builds t and lambda from d; each entry must equal the per-pair path."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(cfg=configs())
-    def test_families_equal_per_pair_functions(self, cfg):
-        table = measure_all(cfg)
-        for k, (i, j) in enumerate(PAIRS):
-            assert table.d.values()[k] == chord(cfg, i, j)
-            assert table.t.values()[k] == bitangent(cfg, i, j)
-            assert table.lam.values()[k] == lambda_measure(cfg, i, j)
-            assert table.p.values()[k] == plucker_measure(cfg, i, j)
+    """measure_all builds t and lambda from d; its cached geometry must equal fresh geometry."""
 
     @settings(max_examples=50, deadline=None)
     @given(cfg=configs())
@@ -239,9 +220,9 @@ class TestRescalingConstruction:
         for i in range(1, 5):
             two_alpha = 2.0 * cfg.alpha[i - 1]
             point = (math.cos(two_alpha), math.sin(two_alpha))
-            assert cfg.tangency_point(i) == point
+            assert cfg.tangency_points[i - 1] == point
             scale = 1.0 - cfg.r[i - 1]
-            assert euclidean_center(cfg, i) == (scale * point[0], scale * point[1])
+            assert cfg.centers[i - 1] == (scale * point[0], scale * point[1])
             first = cfg.horocycle(i)
             assert first == horocycle_from_tangency(BoundaryPoint(two_alpha), cfg.r[i - 1])
             assert cfg.horocycle(i) is first

@@ -9,7 +9,6 @@ from threeterm.errors import DegenerateError, DomainError
 from threeterm.models import (
     BoundaryPoint,
     DiskPoint,
-    Geodesic,
     HyperboloidPoint,
     LightConePoint,
     MinkowskiVec,
@@ -223,16 +222,6 @@ class TestGeodesicEndpoints:
     def test_ideal_input_rejected(self):
         with pytest.raises(DomainError):
             geodesic_ideal_endpoints(UhpPoint(0, 0), UhpPoint(0, 1))
-
-
-class TestGeodesic:
-    def test_distinct_endpoints_required(self):
-        with pytest.raises(DegenerateError):
-            Geodesic("disk", (BoundaryPoint(1.0), BoundaryPoint(1.0)))
-
-    def test_model_tag_checked(self):
-        with pytest.raises(DomainError):
-            Geodesic("klein", (BoundaryPoint(0.0), BoundaryPoint(1.0)))
 
 
 class TestDistances:

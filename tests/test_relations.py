@@ -12,14 +12,12 @@ from threeterm.errors import DegenerateError, NotSameOrbitError, OffQuadricError
 from threeterm.measurements import measure_all
 from threeterm.relations import (
     PAIRS,
-    RatioTuple,
     SixTuple,
     TorusElement,
     cross_ratio_invariant,
     cross_ratio_points,
     is_on_quadric,
     quadric_scale,
-    ratio_tuple,
     relative_residual,
     rescaling_solve,
     residual,
@@ -32,6 +30,22 @@ SQUARE_CHORDS = SixTuple(SQRT2, 2.0, SQRT2, SQRT2, 2.0, SQRT2)
 nonzero_scalar = st.floats(min_value=0.2, max_value=5.0).flatmap(
     lambda m: st.sampled_from([m, -m])
 )
+
+
+@st.composite
+def six_tuples(draw) -> SixTuple:
+    """The minors of a drawn 2x4 matrix (on the quadric up to rounding), or six drawn entries."""
+    if draw(st.booleans()):
+        v = draw(st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=8, max_size=8))
+        return SixTuple(*[v[i - 1] * v[j + 3] - v[j - 1] * v[i + 3] for i, j in PAIRS])
+    return SixTuple(*draw(st.lists(nonzero_scalar, min_size=6, max_size=6)))
+
+
+def away_from_band(t: SixTuple) -> bool:
+    """Whether membership at tol 1e-10 is clear: within a few rounding errors
+    of the tolerance the test may flip either way under a rescaling."""
+    rr = relative_residual(t)
+    return rr < 1e-12 or rr > 1e-8
 
 
 def random_on_quadric(rng, complex_mode=False, min_entry=0.05) -> SixTuple:
@@ -104,25 +118,34 @@ class TestResidual:
         assert relative_residual(SixTuple(0, 0, 0, 0, 0, 0)) == 0.0
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        rows=st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=8, max_size=8),
-        entries=st.lists(nonzero_scalar, min_size=6, max_size=6),
-        from_matrix=st.booleans(),
-        s=st.floats(min_value=1e-8, max_value=1e8),
-    )
-    def test_membership_invariant_under_scaling(self, rows, entries, from_matrix, s):
-        if from_matrix:
-            x, y = rows[:4], rows[4:]
-            t = SixTuple(*[x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1] for i, j in PAIRS])
-        else:
-            t = SixTuple(*entries)
-        assume(quadric_scale(t) > 1e-6)
-        # Within a few rounding errors of the tolerance the test may flip
-        # either way; away from it, membership must not depend on scale.
-        rr = relative_residual(t)
-        assume(rr < 1e-12 or rr > 1e-8)
+    @given(t=six_tuples(), s=st.floats(min_value=1e-8, max_value=1e8))
+    def test_membership_invariant_under_scaling(self, t, s):
+        assume(quadric_scale(t) > 1e-6 and away_from_band(t))
         scaled = SixTuple(*[s * v for v in t])
         assert is_on_quadric(scaled, 1e-10) == is_on_quadric(t, 1e-10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(t=six_tuples(), k=st.integers(min_value=-600, max_value=600))
+    def test_membership_invariant_under_powers_of_two(self, t, k):
+        # 2^k*t has monomials 2^(2k) times those of t, far beyond the float
+        # range at the ends of k; the answer must not change.
+        assume(quadric_scale(t) > 1e-6 and away_from_band(t))
+        scaled = SixTuple(*[math.ldexp(v, k) for v in t])
+        assert is_on_quadric(scaled, 1e-10) == is_on_quadric(t, 1e-10)
+
+    def test_monomials_beyond_float_range(self):
+        # Entries near 1e-170 have monomials that underflow to zero, and
+        # entries near 1e170 monomials that overflow.
+        tiny = SixTuple(1e-170, 2e-170, 3e-170, 4e-170, 5e-170, 6e-170)
+        assert relative_residual(tiny) == pytest.approx(2.0 / 3.0)
+        assert not is_on_quadric(tiny, 1e-10)
+        huge = SixTuple(*[1e170 * v for v in SQUARE_CHORDS])
+        assert relative_residual(huge) < 1e-15
+        assert is_on_quadric(huge, 1e-10)
+        on = random_on_quadric(np.random.default_rng(67), complex_mode=True)
+        for s in (1e-170, 1e170):
+            assert is_on_quadric(SixTuple(*[s * v for v in on]), 1e-10)
+            assert not is_on_quadric(SixTuple(s, s, s, s, s, s * 1j), 1e-10)
 
 
 class TestTorusAction:
@@ -163,16 +186,12 @@ class TestTorusAction:
             res_a = residual(t)
             assert abs(res_b - factor * res_a) <= 1e-10 * max(abs(res_b), abs(res_a), 1.0)
 
-    def test_preserves_quadric_membership(self):
-        rng = np.random.default_rng(71)
-        for _ in range(200):
-            on = random_on_quadric(rng)
-            q = random_torus(rng)
-            assert is_on_quadric(torus_apply(q, on), 1e-10)
-            off = SixTuple.from_values(rng.uniform(0.5, 3, size=6))
-            if is_on_quadric(off, 1e-6):
-                continue
-            assert not is_on_quadric(torus_apply(q, off), 1e-6)
+    @settings(max_examples=200, deadline=None)
+    @given(t=six_tuples(), q=st.tuples(*[nonzero_scalar] * 4))
+    def test_preserves_quadric_membership(self, t, q):
+        assume(quadric_scale(t) > 1e-6 and away_from_band(t))
+        image = torus_apply(TorusElement(*q), t)
+        assert is_on_quadric(image, 1e-10) == is_on_quadric(t, 1e-10)
 
 
 class TestCrossRatioInvariant:
@@ -297,14 +316,15 @@ class TestRescalingSolve:
         for _ in range(100):
             t = random_on_quadric(rng)
             b = torus_apply(random_torus(rng), t)
-            c = ratio_tuple(t, b)
-            scale = max(abs(v) for v in c.values()) ** 2
-            assert abs(c.c12 * c.c34 - c.c23 * c.c14) <= 1e-10 * scale
-            assert abs(c.c23 * c.c14 - c.c13 * c.c24) <= 1e-10 * scale
+            c12, c13, c14, c23, c24, c34 = (bv / av for av, bv in zip(t, b))
+            scale = max(abs(v) for v in (c12, c13, c14, c23, c24, c34)) ** 2
+            assert abs(c12 * c34 - c23 * c14) <= 1e-10 * scale
+            assert abs(c23 * c14 - c13 * c24) <= 1e-10 * scale
 
     def test_ratio_tuple_zero_rejected(self):
+        # a zero entry in the target tuple makes a zero ratio b_ij/a_ij
         with pytest.raises(DegenerateError):
-            ratio_tuple(SQUARE_CHORDS, SixTuple(0, 1, 1, 1, 1, 1))
+            rescaling_solve(SQUARE_CHORDS, SixTuple(0, 1, 1, 1, 1, 1))
 
 
 class TestCrossRatioPoints:
@@ -373,7 +393,3 @@ class TestSixTuple:
     def test_torus_element_non_finite_rejected(self, bad):
         with pytest.raises(DegenerateError):
             TorusElement(1.0, bad, 1.0, 1.0)
-
-    def test_ratio_type(self):
-        c = RatioTuple(1, 1, 1, 1, 1, 1)
-        assert c.values() == (1, 1, 1, 1, 1, 1)
