@@ -6,6 +6,7 @@ crossratio.  Input documents are JSON; complex numbers are written as
 2 unparseable document or a --tol that is not a positive finite number,
 3 invalid configuration or degenerate values (a non-finite cross-ratio too),
 4 quadric/orbit failure (off-quadric input, cross-ratio mismatch).
+Without --json, measure prints a table (it has no --table flag).
 """
 
 from __future__ import annotations
@@ -332,9 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     measure = sub.add_parser("measure", help="measure a four-circle configuration")
     measure.add_argument("config", help="JSON config document (concyclic or lightcone)")
     measure.add_argument("--tol", type=positive_finite, default=DEFAULT_TOL)
-    fmt = measure.add_mutually_exclusive_group()
-    fmt.add_argument("--json", action="store_true")
-    fmt.add_argument("--table", action="store_true")
+    measure.add_argument("--json", action="store_true")
     measure.set_defaults(func=cmd_measure)
 
     rescale = sub.add_parser("rescale", help="solve b_ij = q_i q_j a_ij for q")

@@ -5,6 +5,10 @@ conversely every six-tuple on the quadric arises as the minors of some
 matrix; reconstruct() realizes that converse constructively.  Column
 rescaling acts on minors exactly as the torus action, and column
 permutation relabels them with the antisymmetric sign P_ji = -P_ij.
+
+numpy only holds a matrix's rows (read-only, floats unless complex) and
+applies the column actions; minors() and reconstruct() work on the eight
+entries as Python floats or complex numbers.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OffQuadricError
-from .relations import PAIRS, SixTuple, is_on_quadric, residual
+from .relations import PAIRS, SixTuple, det2, is_on_quadric, relative_residual, residual
 
 @dataclass(frozen=True)
 class Matrix2x4:
@@ -23,14 +27,13 @@ class Matrix2x4:
     rows: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.rows)
+        arr = np.array(self.rows)
         if arr.shape != (2, 4):
             raise DomainError(f"expected a 2x4 matrix, got shape {arr.shape}")
-        if not np.issubdtype(arr.dtype, np.complexfloating):
-            arr = arr.astype(float)
-        if not np.all(np.isfinite(arr)):
+        if arr.dtype.kind != "c":
+            arr = arr.astype(float, copy=False)
+        if not np.isfinite(arr).all():
             raise DomainError("matrix entries must be finite")
-        arr = arr.copy()
         arr.flags.writeable = False
         object.__setattr__(self, "rows", arr)
 
@@ -43,9 +46,9 @@ class Matrix2x4:
 
 def minors(m: Matrix2x4) -> SixTuple:
     """The six minors P_ij = x_i*y_j - x_j*y_i, in index order 12,13,14,23,24,34."""
-    x, y = m.rows[0], m.rows[1]
-    vals = [x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1] for i, j in PAIRS]
-    return SixTuple.from_values(complex(v) if np.iscomplexobj(m.rows) else float(v) for v in vals)
+    c1, c2, c3, c4 = zip(*m.rows.tolist())
+    return SixTuple(det2(c1, c2), det2(c1, c3), det2(c1, c4),
+                    det2(c2, c3), det2(c2, c4), det2(c3, c4))
 
 
 def reconstruct(p: SixTuple, tol: float = 1e-10) -> Matrix2x4:
@@ -62,28 +65,24 @@ def reconstruct(p: SixTuple, tol: float = 1e-10) -> Matrix2x4:
         return Matrix2x4(np.zeros((2, 4)))
     if not is_on_quadric(p, tol):
         raise OffQuadricError(
-            f"tuple is off the quadric: residual {residual(p)}", residual=residual(p)
+            f"tuple is off the quadric: relative residual {relative_residual(p)}",
+            residual=residual(p),
         )
-    complex_mode = any(isinstance(v, complex) for v in vals)
-    dtype = complex if complex_mode else float
-    # Antisymmetric 4x4 table of the entries, 0-based.
-    table = np.zeros((4, 4), dtype=dtype)
-    for (i, j), v in zip(PAIRS, vals):
-        table[i - 1, j - 1] = v
-        table[j - 1, i - 1] = -v
-    pivot = max(((i, j) for i, j in PAIRS), key=lambda ij: abs(table[ij[0] - 1, ij[1] - 1]))
-    order = [pivot[0] - 1, pivot[1] - 1]
-    order += [k for k in range(4) if k not in order]
-    q = table[np.ix_(order, order)]
-    q12 = q[0, 1]
-    cols = np.empty((2, 4), dtype=dtype)
-    cols[:, 0] = (1.0, 0.0)
-    cols[:, 1] = (0.0, q12)
-    cols[:, 2] = (-q[1, 2] / q12, q[0, 2])
-    cols[:, 3] = (-q[1, 3] / q12, q[0, 3])
-    result = np.empty((2, 4), dtype=dtype)
-    result[:, order] = cols
-    return Matrix2x4(result)
+    if any(isinstance(v, complex) for v in vals):
+        vals = [complex(v) for v in vals]
+    # Entries P_kl for both orders k, l, with P_lk = -P_kl.
+    entry = {}
+    for (k, l), v in zip(PAIRS, vals):
+        entry[k, l] = v
+        entry[l, k] = -v
+    mags = [abs(v) for v in vals]
+    i, j = PAIRS[mags.index(max(mags))]
+    q12 = entry[i, j]
+    cols = {i: (1.0, 0.0), j: (0.0, q12)}
+    for k in (1, 2, 3, 4):
+        if k != i and k != j:
+            cols[k] = (-entry[j, k] / q12, entry[i, k])
+    return Matrix2x4(list(zip(*(cols[k] for k in (1, 2, 3, 4)))))
 
 
 def column_rescale(m: Matrix2x4, s) -> Matrix2x4:

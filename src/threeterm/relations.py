@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateError, NotSameOrbitError, OffQuadricError
@@ -20,6 +21,9 @@ Scalar = float | complex
 
 #: Index pairs in storage order.
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+
+# The normal floats: a product in this range carries its full precision.
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -92,9 +96,20 @@ def quadric_scale(t: SixTuple) -> float:
     return max(abs(t.a12 * t.a34), abs(t.a14 * t.a23), abs(t.a13 * t.a24))
 
 
-def _ldexp(v: Scalar, e: int) -> complex:
-    """v * 2**e as a complex number, exact unless it underflows."""
-    return complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))
+def _ldexp(v: Scalar, e: int) -> Scalar:
+    """v * 2**e, exact unless it underflows."""
+    if isinstance(v, complex):
+        return complex(math.ldexp(v.real, e), math.ldexp(v.imag, e))
+    return math.ldexp(v, e)
+
+
+def _scaled_product(x: Scalar, y: Scalar) -> tuple[Scalar, int]:
+    """(m, e) with x*y = m * 2**e, m formed from frexp mantissas (|m| below 2).
+
+    Neither overflows nor underflows, whatever the exponents of x and y.
+    """
+    ex, ey = (math.frexp(max(abs(v.real), abs(v.imag)))[1] for v in (x, y))
+    return _ldexp(x, -ex) * _ldexp(y, -ey), ex + ey
 
 
 def _residual_and_scale(t: SixTuple) -> tuple[Scalar, float]:
@@ -108,10 +123,8 @@ def _residual_and_scale(t: SixTuple) -> tuple[Scalar, float]:
     scale = quadric_scale(t)
     if 2.0 ** -969 <= scale <= 2.0 ** 1022:
         return residual(t), scale
-    parts = []
-    for x, y in ((t.a12, t.a34), (t.a14, t.a23), (t.a13, t.a24)):
-        ex, ey = (math.frexp(max(abs(v.real), abs(v.imag)))[1] for v in (x, y))
-        parts.append((_ldexp(x, -ex) * _ldexp(y, -ey), ex + ey))
+    parts = [_scaled_product(t.a12, t.a34), _scaled_product(t.a14, t.a23),
+             _scaled_product(t.a13, t.a24)]
     top = max((e for m, e in parts if m), default=0)
     m1, m2, m3 = (_ldexp(m, e - top) for m, e in parts)
     return m1 + m2 - m3, max(abs(m1), abs(m2), abs(m3))
@@ -140,11 +153,19 @@ def torus_apply(q: TorusElement, t: SixTuple) -> SixTuple:
 
 
 def cross_ratio_invariant(t: SixTuple) -> Scalar:
-    """The complete orbit invariant a12*a34 / (a23*a14) of a nonvanishing tuple."""
-    den = t.a23 * t.a14
-    if den == 0:
+    """The complete orbit invariant a12*a34 / (a23*a14) of a nonvanishing tuple.
+
+    While both products are normal floats they are used as they are.
+    Otherwise they are formed from frexp mantissas and exponents, so t and
+    2^k*t give the same invariant anywhere in the float range.
+    """
+    num, den = t.a12 * t.a34, t.a23 * t.a14
+    if _TINY <= abs(num) <= _HUGE and _TINY <= abs(den) <= _HUGE:
+        return num / den
+    (m_num, e_num), (m_den, e_den) = _scaled_product(t.a12, t.a34), _scaled_product(t.a23, t.a14)
+    if m_den == 0:
         raise DegenerateError("cross-ratio invariant undefined: a23*a14 = 0")
-    return t.a12 * t.a34 / den
+    return _ldexp(m_num / m_den, e_num - e_den)
 
 
 def _principal_sqrt(x: Scalar) -> Scalar:
@@ -171,7 +192,7 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = 1e-10) -> TorusElemen
     for name, t in (("first", a), ("second", b)):
         if not is_on_quadric(t, tol):
             raise OffQuadricError(
-                f"{name} tuple is off the quadric: residual {residual(t)}",
+                f"{name} tuple is off the quadric: relative residual {relative_residual(t)}",
                 residual=residual(t),
             )
     inv_a = cross_ratio_invariant(a)
@@ -182,8 +203,16 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = 1e-10) -> TorusElemen
             invariant_a=inv_a,
             invariant_b=inv_b,
         )
-    q1 = _principal_sqrt(c12 * c13 / c23)
-    q = TorusElement(q1, c12 / q1, c13 / q1, c14 / q1)
+    # A ratio c_ij that under- or overflowed gives a zero divisor here or a
+    # zero or non-finite q_i, which TorusElement rejects.
+    try:
+        q1_squared = c12 * c13 / c23
+        if not _TINY <= abs(q1_squared) <= _HUGE:
+            q1_squared = c12 * (c13 / c23)  # c12*c13 alone left the float range
+        q1 = _principal_sqrt(q1_squared)
+        q = TorusElement(q1, c12 / q1, c13 / q1, c14 / q1)
+    except ZeroDivisionError:
+        raise DegenerateError("rescaling leaves the float range: a ratio b_ij/a_ij or q1 is 0") from None
     # Postcondition: every pair product matches within tol, else the inputs
     # were not genuinely orbit-equivalent at this tolerance.
     qs = (None, q.q1, q.q2, q.q3, q.q4)
@@ -197,6 +226,11 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = 1e-10) -> TorusElemen
     return q
 
 
+def det2(p, q) -> Scalar:
+    """The 2x2 determinant p[0]*q[1] - p[1]*q[0] of two columns."""
+    return p[0] * q[1] - p[1] * q[0]
+
+
 def cross_ratio_points(x1, x2, x3, x4) -> Scalar:
     """Cross-ratio of four points of the projective line.
 
@@ -206,14 +240,10 @@ def cross_ratio_points(x1, x2, x3, x4) -> Scalar:
     allowed only while the denominator stays nonzero.  A value that is not
     finite (from an infinite component or an overflow) raises DegenerateError.
     """
-
-    def det(p, q):
-        return p[0] * q[1] - p[1] * q[0]
-
-    den = det(x2, x3) * det(x1, x4)
+    den = det2(x2, x3) * det2(x1, x4)
     if den == 0:
         raise DegenerateError("cross-ratio undefined: P23*P14 = 0")
-    value = det(x1, x2) * det(x3, x4) / den
+    value = det2(x1, x2) * det2(x3, x4) / den
     if not cmath.isfinite(value):
         raise DegenerateError(f"cross-ratio is not finite: {value}")
     return value

@@ -58,6 +58,13 @@ class TestMeasure:
         )
         assert dev <= 1e-8
 
+    def test_no_table_flag(self, capsys):
+        # The table is what measure prints without --json; there is no flag for it.
+        with pytest.raises(SystemExit) as info:
+            main(["measure", str(DATA / "square_config.json"), "--table"])
+        assert info.value.code == 2
+        assert "unrecognized arguments: --table" in capsys.readouterr().err
+
     def test_tol_flag_can_force_failure(self, capsys):
         code, out, _ = run(
             capsys, "measure", str(DATA / "square_config.json"), "--tol", "1e-17"
@@ -114,6 +121,21 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (("plucker", "reconstruct", "underflow_off_quadric.json"),
+             "tuple is off the quadric: relative residual 0.6666666666666666"),
+            (("rescale", "square_chords.json", "underflow_off_quadric.json"),
+             "second tuple is off the quadric: relative residual 0.6666666666666666"),
+        ],
+    )
+    def test_off_quadric_message_gives_relative_residual(self, capsys, argv, message):
+        # The plain residual of these 1e-170 entries underflows to 0.0.
+        code, _, err = run(capsys, *[str(DATA / a) if a.endswith(".json") else a for a in argv])
+        assert code == 4
+        assert err == f"error: {message}\n"
+
     @pytest.mark.parametrize("tol", ["-1", "0", "1e-400", "nan", "inf"])
     @pytest.mark.parametrize(
         "argv",
@@ -169,6 +191,36 @@ class TestRescale:
         )
         assert code == 4
         assert "invariants" in err and "1.0" in err and "3.0" in err
+
+    @pytest.mark.parametrize(
+        "file_a,file_b,q",
+        [
+            # Entries near 1e-170 and 1e170: the invariants' products under-
+            # and overflow, the invariants themselves do not.
+            ("underflow_square_chords.json", "underflow_square_chords.json", 1.0),
+            ("overflow_square_chords.json", "overflow_square_chords.json", 1.0),
+            ("square_chords.json", "underflow_square_chords.json", 1e-85),
+        ],
+    )
+    def test_beyond_float_range(self, capsys, file_a, file_b, q):
+        code, out, _ = run(capsys, "rescale", str(DATA / file_a), str(DATA / file_b), "--json")
+        assert code == 0
+        for got in json.loads(out)["q"]:
+            assert abs(abs(got) - q) <= 1e-12 * q
+
+    def test_orbit_mismatch_beyond_float_range(self, capsys):
+        code, out, err = run(
+            capsys,
+            "rescale",
+            str(DATA / "overflow_square_chords.json"),
+            str(DATA / "overflow_other_orbit.json"),
+        )
+        assert code == 4
+        assert out == ""
+        line = next(l for l in err.splitlines() if l.startswith("invariants: "))
+        inv_a, inv_b = (float(v) for v in line.removeprefix("invariants: ").split(" vs "))
+        assert inv_a == 1.0
+        assert abs(inv_b - 3.0) <= 1e-15
 
     def test_zero_entry(self, capsys):
         code, _, _ = run(

@@ -34,6 +34,64 @@ matrices = st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=8, max_
     lambda v: Matrix2x4([v[:4], v[4:]])
 )
 
+# Entries with exact zeros, ties and signed zeros as well as general floats.
+entries = st.one_of(
+    st.floats(min_value=-1e3, max_value=1e3),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5]),
+)
+
+
+@st.composite
+def real_or_complex_matrices(draw) -> Matrix2x4:
+    re = draw(st.lists(entries, min_size=8, max_size=8))
+    rows = np.array([re[:4], re[4:]])
+    if draw(st.booleans()):
+        im = draw(st.lists(entries, min_size=8, max_size=8))
+        rows = rows + 1j * np.array([im[:4], im[4:]])
+    return Matrix2x4(rows)
+
+
+def numpy_minors(m: Matrix2x4) -> SixTuple:
+    """minors() as numpy scalar arithmetic, the way it was first written."""
+    x, y = m.rows[0], m.rows[1]
+    vals = [x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1] for i, j in PAIRS]
+    return SixTuple.from_values(complex(v) if np.iscomplexobj(m.rows) else float(v) for v in vals)
+
+
+def numpy_reconstruct_rows(p: SixTuple) -> np.ndarray:
+    """reconstruct()'s rows for a nonzero on-quadric tuple, computed on a 4x4
+    antisymmetric numpy table, the way it was first written."""
+    vals = p.values()
+    dtype = complex if any(isinstance(v, complex) for v in vals) else float
+    table = np.zeros((4, 4), dtype=dtype)
+    for (i, j), v in zip(PAIRS, vals):
+        table[i - 1, j - 1] = v
+        table[j - 1, i - 1] = -v
+    pivot = max(PAIRS, key=lambda ij: abs(table[ij[0] - 1, ij[1] - 1]))
+    order = [pivot[0] - 1, pivot[1] - 1]
+    order += [k for k in range(4) if k not in order]
+    q = table[np.ix_(order, order)]
+    q12 = q[0, 1]
+    cols = np.empty((2, 4), dtype=dtype)
+    cols[:, 0] = (1.0, 0.0)
+    cols[:, 1] = (0.0, q12)
+    cols[:, 2] = (-q[1, 2] / q12, q[0, 2])
+    cols[:, 3] = (-q[1, 3] / q12, q[0, 3])
+    result = np.empty((2, 4), dtype=dtype)
+    result[:, order] = cols
+    return result
+
+
+def bits(v) -> tuple[str, str]:
+    """The real and imaginary parts' bit patterns (tells -0.0 from 0.0)."""
+    v = complex(v)
+    return v.real.hex(), v.imag.hex()
+
+
+def within_one_ulp(x: float, y: float) -> bool:
+    """Equal or neighbouring floats; 0.0 and -0.0 count as equal."""
+    return x == y or math.nextafter(x, y) == y
+
 
 def max_minor_dev(a: SixTuple, b: SixTuple) -> float:
     scale = max(max(abs(v) for v in a.values()), 1.0)
@@ -48,6 +106,31 @@ class TestMatrixType:
     def test_finiteness_checked(self):
         with pytest.raises(DomainError):
             Matrix2x4([[1, 2, 3, math.inf], [4, 5, 6, 7]])
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, complex(1.0, math.nan)])
+    def test_non_finite_rejected(self, bad):
+        with pytest.raises(DomainError):
+            Matrix2x4([[1, 2, 3, bad], [4, 5, 6, 7]])
+
+    @pytest.mark.parametrize("shape", [(2, 3), (4, 2), (8,), (2, 4, 1)])
+    def test_wrong_shape_rejected(self, shape):
+        with pytest.raises(DomainError):
+            Matrix2x4(np.ones(shape))
+
+    def test_rows_read_only_copy(self):
+        rows = np.arange(8.0).reshape(2, 4)
+        m = Matrix2x4(rows)
+        assert not m.rows.flags.writeable
+        with pytest.raises(ValueError):
+            m.rows[0, 0] = 9.0
+        rows[0, 0] = 9.0
+        assert m.rows[0, 0] == 0.0
+        assert not np.shares_memory(m.rows, rows)
+
+    def test_real_input_promoted_to_float(self):
+        assert Matrix2x4([[1, 2, 3, 4], [5, 6, 7, 8]]).rows.dtype == np.float64
+        assert Matrix2x4(np.ones((2, 4), dtype=np.float32)).rows.dtype == np.float64
+        assert Matrix2x4(np.ones((2, 4)) * 1j).rows.dtype == np.complex128
 
     def test_column_access(self):
         m = Matrix2x4([[1, 2, 3, 4], [5, 6, 7, 8]])
@@ -128,11 +211,50 @@ class TestReconstruct:
             assert p.a12 == 0.0
             assert max_minor_dev(p, minors(reconstruct(p))) <= 1e-10
 
+    def test_subnormal_complex_pivot(self):
+        # Complex division by a subnormal pivot stays finite.
+        p = SixTuple(0.0, 0.0, 0.0, 0.0, 0.0, complex(-2.22507386e-311))
+        assert minors(reconstruct(p)).values() == p.values()
+
     def test_complex_round_trip(self):
         rng = np.random.default_rng(157)
         for _ in range(200):
             p = minors(Matrix2x4(rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))))
             assert max_minor_dev(p, minors(reconstruct(p))) <= 1e-10
+
+
+class TestNumpyParity:
+    """minors() and reconstruct() against the numpy formulas they replaced."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=real_or_complex_matrices())
+    def test_minors_bit_identical(self, m):
+        assert [bits(v) for v in minors(m)] == [bits(v) for v in numpy_minors(m)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(m=real_or_complex_matrices(), as_complex=st.lists(st.booleans(), min_size=6, max_size=6))
+    def test_reconstruct_matches(self, m, as_complex):
+        # Real rows are bit-identical.  Python and numpy divide complex numbers
+        # by different formulas, so a complex entry may differ by one ulp in
+        # its real or imaginary part.  Entries with a zero imaginary part are
+        # drawn as floats or as complex numbers, so tuples of both types occur.
+        p = SixTuple(*[
+            complex(v) if c else (v.real if complex(v).imag == 0 else v)
+            for v, c in zip(minors(m), as_complex)
+        ])
+        assume(any(v != 0 for v in p) and is_on_quadric(p, 1e-10))
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = numpy_reconstruct_rows(p)
+        # numpy's complex division can overflow to NaN on a subnormal divisor,
+        # where Python's does not; the numpy code then raised DomainError.
+        assume(np.isfinite(want).all())
+        got = reconstruct(p).rows
+        assert got.dtype == want.dtype
+        if got.dtype.kind != "c":
+            assert [bits(v) for v in got.flat] == [bits(v) for v in want.flat]
+            return
+        for g, w in zip(got.flat, want.flat):
+            assert within_one_ulp(g.real, w.real) and within_one_ulp(g.imag, w.imag)
 
 
 class TestColumnRescale:

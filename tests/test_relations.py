@@ -220,6 +220,27 @@ class TestCrossRatioInvariant:
         with pytest.raises(DegenerateError):
             cross_ratio_invariant(SixTuple(1, 1, 0, 0, 1, 1))
 
+    @settings(max_examples=200, deadline=None)
+    @given(t=six_tuples(), k=st.integers(min_value=-600, max_value=600), turn=st.booleans())
+    def test_invariant_under_powers_of_two(self, t, k, turn):
+        # Beyond the float range the products come from frexp mantissas, which
+        # 2^k leaves alone; within it they are the plain products, whose
+        # quotient may differ from the mantissas' by a few ulps.
+        assume(all(abs(v) > 1e-100 for v in t))
+        if turn:
+            t = SixTuple(*[1j * v for v in t])
+        want = cross_ratio_invariant(t)
+        got = cross_ratio_invariant(SixTuple(*[v * 2.0 ** k for v in t]))
+        assert abs(got - want) <= 1e-15 * abs(want)
+
+    def test_products_beyond_float_range(self):
+        # Entries near 1e-170 have products that underflow to zero, and
+        # entries near 1e170 products that overflow.
+        for s in (1e-170, 1e170):
+            assert cross_ratio_invariant(SixTuple(*[s * v for v in SQUARE_CHORDS])) == 1.0
+            other = SixTuple(*[s * v for v in (1, 2, 1, 1, 2, 3)])
+            assert cross_ratio_invariant(other) == pytest.approx(3.0, rel=1e-15)
+
 
 class TestRescalingSolve:
     def test_round_trip_square(self):
@@ -320,6 +341,26 @@ class TestRescalingSolve:
             scale = max(abs(v) for v in (c12, c13, c14, c23, c24, c34)) ** 2
             assert abs(c12 * c34 - c23 * c14) <= 1e-10 * scale
             assert abs(c23 * c14 - c13 * c24) <= 1e-10 * scale
+
+    def test_beyond_float_range(self):
+        tiny = SixTuple(*[1e-170 * v for v in SQUARE_CHORDS])
+        huge = SixTuple(*[1e170 * v for v in SQUARE_CHORDS])
+        assert_plus_minus(rescaling_solve(tiny, tiny), (1, 1, 1, 1))
+        assert_plus_minus(rescaling_solve(huge, huge), (1, 1, 1, 1))
+        # q1^2 = c12*c13/c23 = 1e-170, though c12*c13 underflows.
+        assert_plus_minus(rescaling_solve(SQUARE_CHORDS, tiny), (1e-85,) * 4)
+        with pytest.raises(NotSameOrbitError) as info:
+            rescaling_solve(huge, SixTuple(*[1e170 * v for v in (1, 2, 1, 1, 2, 3)]))
+        assert info.value.invariant_a == 1.0
+        assert info.value.invariant_b == pytest.approx(3.0, rel=1e-15)
+
+    def test_ratios_beyond_float_range_rejected(self):
+        # b_ij/a_ij underflows to 0 or overflows to inf: no float q exists.
+        a = SixTuple(*[1e300 * v for v in SQUARE_CHORDS])
+        b = SixTuple(*[1e-300 * v for v in SQUARE_CHORDS])
+        for x, y in ((a, b), (b, a)):
+            with pytest.raises(DegenerateError):
+                rescaling_solve(x, y)
 
     def test_ratio_tuple_zero_rejected(self):
         # a zero entry in the target tuple makes a zero ratio b_ij/a_ij
