@@ -18,8 +18,6 @@ from .errors import (
 from .grassmann import Matrix2x4, column_permute, column_rescale, minors, reconstruct
 from .horocycles import (
     EuclideanCircle,
-    Horocycle,
-    LambdaLength,
     horocycle_from_tangency,
     horocycle_to_circle,
     lambda_length,
@@ -71,9 +69,7 @@ __all__ = [
     "DomainError",
     "EuclideanCircle",
     "GeometryError",
-    "Horocycle",
     "HyperboloidPoint",
-    "LambdaLength",
     "LightConePoint",
     "Matrix2x4",
     "MeasurementTable",

@@ -18,7 +18,7 @@ import sys
 
 from .errors import GeometryError, NotSameOrbitError, OffQuadricError
 from .grassmann import Matrix2x4, minors, reconstruct
-from .horocycles import Horocycle, horocycle_to_circle
+from .horocycles import horocycle_to_circle
 from .measurements import (
     ConcyclicConfig,
     bitangent_direct,
@@ -100,7 +100,7 @@ def _parse_sixtuple(doc, path: str) -> SixTuple:
         raise DocumentError(
             f"{path}: expected a JSON array of 6 scalars in index order 12,13,14,23,24,34"
         )
-    return SixTuple.from_values(_scalar(v, f"{path} entry {k}") for k, v in enumerate(doc))
+    return SixTuple(*(_scalar(v, f"{path} entry {k}") for k, v in enumerate(doc)))
 
 
 def _parse_matrix(payload, path: str) -> Matrix2x4:
@@ -160,7 +160,7 @@ def _parse_config(doc, path: str, kinds=("concyclic", "lightcone", "matrix")):
     for vec in vectors:
         point = LightConePoint(MinkowskiVec(*(_real(v, f"{path} u component") for v in vec)))
         alphas.append(lightcone_to_boundary(point).theta / 2.0)
-        radii.append(horocycle_to_circle(Horocycle(point)).radius)
+        radii.append(horocycle_to_circle(point).radius)
     # A tangency at boundary angle 0 in last position is the wrap of 2*pi.
     if alphas[3] == 0.0:
         alphas[3] = math.pi
@@ -205,7 +205,7 @@ def build_report(cfg: ConcyclicConfig, tol: float) -> dict:
     return {
         "config": {"alpha": list(cfg.alpha), "radii": list(cfg.r)},
         "tolerance": tol,
-        "measurements": {name: list(t.values()) for name, t in families.items()},
+        "measurements": {name: list(t) for name, t in families.items()},
         "residuals": residuals,
         "identities": identities,
         "pass": passed,
@@ -242,9 +242,9 @@ def cmd_rescale(args) -> int:
     a = _parse_sixtuple(_load_json(args.file_a), args.file_a)
     b = _parse_sixtuple(_load_json(args.file_b), args.file_b)
     q = rescaling_solve(a, b, tol=args.tol)
-    qs = (None,) + q.values()
+    qs = (None, *q)
     verification = {}
-    for (i, j), av, bv in zip(PAIRS, a.values(), b.values()):
+    for (i, j), av, bv in zip(PAIRS, a, b):
         product = qs[i] * qs[j]
         ratio = bv / av
         verification[f"{i}{j}"] = {
@@ -254,11 +254,11 @@ def cmd_rescale(args) -> int:
         }
     if args.json:
         print(json.dumps(
-            {"q": [_json_scalar(v) for v in q.values()], "verification": verification},
+            {"q": [_json_scalar(v) for v in q], "verification": verification},
             indent=2, sort_keys=True,
         ))
     else:
-        for k, value in enumerate(q.values(), start=1):
+        for k, value in enumerate(q, start=1):
             print(f"q{k} = {value}")
         print("pair   q_i*q_j              c_ij                 |deviation|")
         for key, row in verification.items():
@@ -270,7 +270,7 @@ def cmd_plucker_minors(args) -> int:
     matrix = _parse_config(_load_json(args.file), args.file, kinds=("matrix",))
     p = minors(matrix)
     doc = {
-        "minors": [_json_scalar(v) for v in p.values()],
+        "minors": [_json_scalar(v) for v in p],
         "residual": _json_scalar(residual(p)),
         "relative_residual": relative_residual(p),
     }
@@ -289,9 +289,7 @@ def cmd_plucker_reconstruct(args) -> int:
     check = minors(matrix)
     doc = {
         "rows": rows,
-        "max_minor_deviation": max(
-            abs(pv - cv) for pv, cv in zip(p.values(), check.values())
-        ),
+        "max_minor_deviation": max(abs(pv - cv) for pv, cv in zip(p, check)),
     }
     if args.json:
         print(json.dumps(doc, indent=2, sort_keys=True))

@@ -37,12 +37,6 @@ class Matrix2x4:
         arr.flags.writeable = False
         object.__setattr__(self, "rows", arr)
 
-    def column(self, i: int):
-        """Column i (1-based) as a length-2 array."""
-        if not 1 <= i <= 4:
-            raise IndexError(f"column index out of range: {i}")
-        return self.rows[:, i - 1]
-
 
 def minors(m: Matrix2x4) -> SixTuple:
     """The six minors P_ij = x_i*y_j - x_j*y_i, in index order 12,13,14,23,24,34."""
@@ -60,16 +54,14 @@ def reconstruct(p: SixTuple, tol: float = 1e-10) -> Matrix2x4:
     the last one by the quadric relation itself.  The all-zero tuple maps to
     the zero matrix.
     """
-    vals = p.values()
-    if all(v == 0 for v in vals):
+    if all(v == 0 for v in p):
         return Matrix2x4(np.zeros((2, 4)))
     if not is_on_quadric(p, tol):
         raise OffQuadricError(
             f"tuple is off the quadric: relative residual {relative_residual(p)}",
             residual=residual(p),
         )
-    if any(isinstance(v, complex) for v in vals):
-        vals = [complex(v) for v in vals]
+    vals = [complex(v) for v in p] if any(isinstance(v, complex) for v in p) else p
     # Entries P_kl for both orders k, l, with P_lk = -P_kl.
     entry = {}
     for (k, l), v in zip(PAIRS, vals):

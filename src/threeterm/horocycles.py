@@ -1,8 +1,10 @@
 """Horocycles as light-cone points, Euclidean circle views, and lambda lengths.
 
-A horocycle is stored only as its light-cone representative; the tangent
-Euclidean circle in the disk is a derived view.  The Minkowski pairing does
-all the metric work: lambda(u1, u2) = sqrt(-<u1, u2>).
+A horocycle is its point u of the positive light cone: horocycle_from_tangency
+returns that LightConePoint, and horocycle_to_circle derives the tangent
+Euclidean circle in the disk from it.  The Minkowski pairing does all the
+metric work: lambda(u1, u2) = sqrt(-<u1, u2>), a plain float that exceeds 1
+exactly when the two horocycles are disjoint.
 """
 
 from __future__ import annotations
@@ -20,13 +22,6 @@ COMMON_RAY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
-class Horocycle:
-    """A horocycle, represented by a point of the positive light cone."""
-
-    u: LightConePoint
-
-
-@dataclass(frozen=True)
 class EuclideanCircle:
     """A Euclidean circle in the unit-disk picture."""
 
@@ -38,33 +33,15 @@ class EuclideanCircle:
             raise DomainError(f"circle radius must be positive: {self.radius}")
 
 
-@dataclass(frozen=True)
-class LambdaLength:
-    """A lambda length and the signed horocycle distance it encodes.
-
-    value = exp(delta / 2); delta is positive exactly when the two
-    horocycles are disjoint.
-    """
-
-    value: float
-    delta: float
-
-    @classmethod
-    def from_value(cls, value: float) -> "LambdaLength":
-        if value <= 0.0:
-            raise DomainError(f"lambda length must be positive: {value}")
-        return cls(value, 2.0 * math.log(value))
-
-
-def horocycle_to_circle(h: Horocycle) -> EuclideanCircle:
+def horocycle_to_circle(h: LightConePoint) -> EuclideanCircle:
     """The tangent circle in the disk: radius 1/(1 + z*sqrt(2)), tangent at u's ideal point."""
-    w = h.u.u
+    w = h.u
     radius = 1.0 / (1.0 + w.z * SQRT2)
     cx, cy = w.x / w.z, w.y / w.z
     return EuclideanCircle(((1.0 - radius) * cx, (1.0 - radius) * cy), radius)
 
 
-def horocycle_from_tangency(theta: BoundaryPoint, r: float) -> Horocycle:
+def horocycle_from_tangency(theta: BoundaryPoint, r: float) -> LightConePoint:
     """Horocycle tangent to the unit circle at angle theta with Euclidean radius r.
 
     Inverts the radius formula: z = (1/r - 1)/sqrt(2).  r = 1 would force
@@ -74,18 +51,18 @@ def horocycle_from_tangency(theta: BoundaryPoint, r: float) -> Horocycle:
         raise DomainError(f"tangent circle radius must lie in (0, 1): {r}")
     z = (1.0 / r - 1.0) / SQRT2
     cx, cy = theta.xy()
-    return Horocycle(LightConePoint(MinkowskiVec(z * cx, z * cy, z)))
+    return LightConePoint(MinkowskiVec(z * cx, z * cy, z))
 
 
-def lambda_length(h1: Horocycle, h2: Horocycle) -> LambdaLength:
+def lambda_length(h1: LightConePoint, h2: LightConePoint) -> float:
     """Lambda length sqrt(-<u1, u2>) between two horocycles.
 
     Horocycles on a common light-cone ray have pairing zero and no lambda
     length; the threshold scales with z1*z2 so it is invariant under
     rescaling either representative.
     """
-    u1, u2 = h1.u.u, h2.u.u
+    u1, u2 = h1.u, h2.u
     pairing = mink_pair(u1, u2)
     if abs(pairing) <= COMMON_RAY_TOL * u1.z * u2.z:
         raise DegenerateError("horocycles lie on a common light-cone ray")
-    return LambdaLength.from_value(math.sqrt(-pairing))
+    return math.sqrt(-pairing)

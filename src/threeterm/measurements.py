@@ -29,8 +29,8 @@ from functools import cached_property
 from itertools import combinations
 
 from .errors import ConfigurationError
-from .horocycles import Horocycle, horocycle_from_tangency, lambda_length
-from .models import BoundaryPoint
+from .horocycles import horocycle_from_tangency, lambda_length
+from .models import BoundaryPoint, LightConePoint
 from .relations import PAIRS, SixTuple, TorusElement, torus_apply
 
 # Circles must clear each other by this much to count as disjoint.
@@ -85,14 +85,14 @@ class ConcyclicConfig:
                 )
 
     @cached_property
-    def _horocycles(self) -> tuple[Horocycle, ...]:
+    def _horocycles(self) -> tuple[LightConePoint, ...]:
         return tuple(
             horocycle_from_tangency(BoundaryPoint(2.0 * a), rk)
             for a, rk in zip(self.alpha, self.r)
         )
 
-    def horocycle(self, i: int) -> Horocycle:
-        """The circle H_i viewed as a horocycle of the Poincare disk (1-based)."""
+    def horocycle(self, i: int) -> LightConePoint:
+        """The circle H_i as a horocycle of the Poincare disk: its light-cone point (1-based)."""
         if not 1 <= i <= 4:
             raise IndexError(f"index out of range: {i}")
         return self._horocycles[i - 1]
@@ -127,7 +127,7 @@ def bitangent_direct(cfg: ConcyclicConfig, i: int, j: int) -> float:
 def lambda_minkowski(cfg: ConcyclicConfig, i: int, j: int) -> float:
     """Lambda length via the light-cone pairing; independent of the bitangent path."""
     _check_pair(i, j)
-    return lambda_length(cfg.horocycle(i), cfg.horocycle(j)).value
+    return lambda_length(cfg.horocycle(i), cfg.horocycle(j))
 
 
 def measure_all(cfg: ConcyclicConfig) -> MeasurementTable:

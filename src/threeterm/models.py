@@ -18,8 +18,8 @@ from .relations import cross_ratio_points
 TWO_PI = 2.0 * math.pi
 
 # Type invariants (<u,u>=0, <v,v>=-1) are enforced at construction to this
-# tolerance, relative to the largest squared component; vectors passing the
-# check are renormalized onto the exact surface.
+# tolerance, relative to the largest squared component (a pairing made NaN by
+# an overflowed square fails); passing vectors get z recomputed from x and y.
 CONSTRUCTION_TOL = 1e-9
 
 
@@ -64,10 +64,11 @@ class HyperboloidPoint:
         if v.z <= 0.0 or scale == 0.0:
             raise DomainError(f"not on the upper hyperboloid sheet: {v}")
         pairing = mink_pair(v, v)
-        if abs(pairing + 1.0) > CONSTRUCTION_TOL * scale:
+        if not abs(pairing + 1.0) <= CONSTRUCTION_TOL * scale:
             raise DomainError(f"<v,v> = {pairing}, not -1 within tolerance: {v}")
-        # Renormalize onto the exact sheet so downstream pairings are consistent.
-        object.__setattr__(self, "v", v.scaled(1.0 / math.sqrt(-pairing)))
+        # Snap z to sqrt(1+x^2+y^2), as LightConePoint snaps z to hypot(x, y);
+        # past z of about 1e4 the pairing cancels, so 1/sqrt(-pairing) would fail.
+        object.__setattr__(self, "v", MinkowskiVec(v.x, v.y, math.hypot(1.0, v.x, v.y)))
 
 
 @dataclass(frozen=True)
@@ -82,7 +83,7 @@ class LightConePoint:
         if u.z <= 0.0 or scale == 0.0:
             raise DomainError(f"not on the positive light cone: {u}")
         pairing = mink_pair(u, u)
-        if abs(pairing) > CONSTRUCTION_TOL * scale:
+        if not abs(pairing) <= CONSTRUCTION_TOL * scale:
             raise DomainError(f"<u,u> = {pairing}, not 0 within tolerance: {u}")
         rho = math.hypot(u.x, u.y)
         if rho == 0.0:
@@ -273,10 +274,11 @@ def hyp_distance_crossratio(w1: UhpPoint, w2: UhpPoint) -> float:
 
 
 def hyp_distance_hyperboloid(v1: HyperboloidPoint, v2: HyperboloidPoint) -> float:
-    """Hyperbolic distance on the hyperboloid sheet: arccosh(-<v1,v2>)."""
-    c = -mink_pair(v1.v, v2.v)
-    if c < 1.0:
-        if c < 1.0 - 1e-9:
-            raise DomainError(f"pairing {-c} outside hyperboloid distance domain")
-        c = 1.0
-    return math.acosh(c)
+    """Hyperbolic distance on the hyperboloid sheet: 2*asinh(sqrt(<w,w>)/2), w = v1 - v2.
+
+    Equal to arccosh(-<v1,v2>), since <w,w> = -2 - 2<v1,v2> = 4 sinh^2(d/2),
+    but without the cancellation of arccosh near 1 that loses small distances.
+    """
+    a, b = v1.v, v2.v
+    dx, dy, dz = a.x - b.x, a.y - b.y, a.z - b.z
+    return 2.0 * math.asinh(math.sqrt(max(dx * dx + dy * dy - dz * dz, 0.0)) / 2.0)

@@ -6,6 +6,9 @@ the torus (q1, q2, q3, q4) acts by a_ij -> q_i*q_j*a_ij and preserves it.
 Two nonvanishing on-quadric tuples lie in the same orbit exactly when their
 cross-ratio invariants a12*a34/(a23*a14) agree, and in that case the solver
 below constructs the rescaling, unique up to a global sign.
+
+SixTuple and TorusElement are tuples that check their entries on every
+construction path, so the functions below unpack and iterate them directly.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
+from operator import itemgetter
 
 from .errors import DegenerateError, NotSameOrbitError, OffQuadricError
 
@@ -26,65 +29,66 @@ PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
-@dataclass(frozen=True)
-class SixTuple:
-    """Values indexed by the six pairs from {1,2,3,4}."""
+class _Named(tuple):
+    """An immutable tuple of scalars whose entries also have names (_fields)."""
 
-    a12: Scalar
-    a13: Scalar
-    a14: Scalar
-    a23: Scalar
-    a24: Scalar
-    a34: Scalar
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __repr__(self):
+        entries = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self))
+        return f"{type(self).__name__}({entries})"
+
+    def __reduce__(self):
+        # copy and every pickle protocol rebuild through __new__, which validates.
+        return type(self), tuple(self)
+
+    def values(self) -> tuple[Scalar, ...]:
+        """The entries as a plain tuple."""
+        return tuple(self)
+
+
+class SixTuple(_Named):
+    """Values indexed by the six pairs from {1,2,3,4}, in storage order.
+
+    A SixTuple is a tuple: it unpacks and iterates as its six entries, and it
+    equals a plain tuple of the same entries.  So + and * concatenate and
+    repeat it, as for any tuple; they do not act entrywise.
+    """
+
+    __slots__ = ()
+    _fields = ("a12", "a13", "a14", "a23", "a24", "a34")
+    a12, a13, a14, a23, a24, a34 = (property(itemgetter(k)) for k in range(6))
+
+    def __new__(cls, a12, a13, a14, a23, a24, a34):
+        self = tuple.__new__(cls, (a12, a13, a14, a23, a24, a34))
         # 0.0*x is 0 for finite x and NaN for an infinite or NaN x, so the
         # sum is finite exactly when every entry is (real or complex).
-        zeros = (0.0 * self.a12 + 0.0 * self.a13 + 0.0 * self.a14
-                 + 0.0 * self.a23 + 0.0 * self.a24 + 0.0 * self.a34)
-        if not cmath.isfinite(zeros):
+        if not cmath.isfinite(0.0 * a12 + 0.0 * a13 + 0.0 * a14
+                              + 0.0 * a23 + 0.0 * a24 + 0.0 * a34):
             raise DegenerateError(f"six-tuple has a non-finite entry: {self}")
-
-    @classmethod
-    def from_values(cls, values) -> "SixTuple":
-        vals = tuple(values)
-        if len(vals) != 6:
-            raise ValueError(f"expected 6 values in order 12,13,14,23,24,34, got {len(vals)}")
-        return cls(*vals)
-
-    def values(self) -> tuple[Scalar, ...]:
-        return (self.a12, self.a13, self.a14, self.a23, self.a24, self.a34)
-
-    def __iter__(self):
-        return iter(self.values())
+        return self
 
 
-@dataclass(frozen=True)
-class TorusElement:
-    """Four nonzero scalars acting on six-tuples by a_ij -> q_i*q_j*a_ij."""
+class TorusElement(_Named):
+    """Four nonzero scalars acting on six-tuples by a_ij -> q_i*q_j*a_ij; a tuple too."""
 
-    q1: Scalar
-    q2: Scalar
-    q3: Scalar
-    q4: Scalar
+    __slots__ = ()
+    _fields = ("q1", "q2", "q3", "q4")
+    q1, q2, q3, q4 = (property(itemgetter(k)) for k in range(4))
 
-    def __post_init__(self):
-        q = self.values()
-        if any(v == 0 for v in q):
+    def __new__(cls, q1, q2, q3, q4):
+        self = tuple.__new__(cls, (q1, q2, q3, q4))
+        if any(v == 0 for v in self):
             raise DegenerateError(f"torus element has a zero component: {self}")
-        if not all(map(cmath.isfinite, q)):
+        if not all(map(cmath.isfinite, self)):
             raise DegenerateError(f"torus element has a non-finite component: {self}")
-
-    def values(self) -> tuple[Scalar, ...]:
-        return (self.q1, self.q2, self.q3, self.q4)
-
-    def negated(self) -> "TorusElement":
-        return TorusElement(-self.q1, -self.q2, -self.q3, -self.q4)
+        return self
 
 
 def residual(t: SixTuple) -> Scalar:
     """a12*a34 + a14*a23 - a13*a24; zero exactly on the quadric."""
-    return t.a12 * t.a34 + t.a14 * t.a23 - t.a13 * t.a24
+    a12, a13, a14, a23, a24, a34 = t
+    return a12 * a34 + a14 * a23 - a13 * a24
 
 
 def quadric_scale(t: SixTuple) -> float:
@@ -93,7 +97,8 @@ def quadric_scale(t: SixTuple) -> float:
     No floor: scaling every entry by s scales the residual and this scale
     alike by s^2, so the relative tests do not depend on the tuple's units.
     """
-    return max(abs(t.a12 * t.a34), abs(t.a14 * t.a23), abs(t.a13 * t.a24))
+    a12, a13, a14, a23, a24, a34 = t
+    return max(abs(a12 * a34), abs(a14 * a23), abs(a13 * a24))
 
 
 def _ldexp(v: Scalar, e: int) -> Scalar:
@@ -147,9 +152,10 @@ def is_on_quadric(t: SixTuple, tol: float) -> bool:
 
 def torus_apply(q: TorusElement, t: SixTuple) -> SixTuple:
     """The six-tuple q_i*q_j*a_ij, each entry rounded as (q_i*q_j)*a_ij."""
-    q1, q2, q3, q4 = q.q1, q.q2, q.q3, q.q4
-    return SixTuple(q1 * q2 * t.a12, q1 * q3 * t.a13, q1 * q4 * t.a14,
-                    q2 * q3 * t.a23, q2 * q4 * t.a24, q3 * q4 * t.a34)
+    q1, q2, q3, q4 = q
+    a12, a13, a14, a23, a24, a34 = t
+    return SixTuple(q1 * q2 * a12, q1 * q3 * a13, q1 * q4 * a14,
+                    q2 * q3 * a23, q2 * q4 * a24, q3 * q4 * a34)
 
 
 def cross_ratio_invariant(t: SixTuple) -> Scalar:
@@ -186,7 +192,7 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = 1e-10) -> TorusElemen
     tuple misses the quadric, and NotSameOrbitError when the invariants
     disagree (or the reconstructed q fails to match within tol).
     """
-    if any(v == 0 for v in a.values() + b.values()):
+    if any(v == 0 for v in a + b):
         raise DegenerateError("rescaling requires all twelve entries nonzero")
     c12, c13, c14, c23 = b.a12 / a.a12, b.a13 / a.a13, b.a14 / a.a14, b.a23 / a.a23
     for name, t in (("first", a), ("second", b)):
@@ -215,8 +221,8 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = 1e-10) -> TorusElemen
         raise DegenerateError("rescaling leaves the float range: a ratio b_ij/a_ij or q1 is 0") from None
     # Postcondition: every pair product matches within tol, else the inputs
     # were not genuinely orbit-equivalent at this tolerance.
-    qs = (None, q.q1, q.q2, q.q3, q.q4)
-    for (i, j), av, bv in zip(PAIRS, a.values(), b.values()):
+    qs = (None, *q)
+    for (i, j), av, bv in zip(PAIRS, a, b):
         if abs(qs[i] * qs[j] * av - bv) > tol * abs(bv):
             raise NotSameOrbitError(
                 f"no rescaling reproduces entry {i}{j} within tolerance {tol}",

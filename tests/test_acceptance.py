@@ -61,9 +61,9 @@ def random_on_quadric(rng, complex_mode, min_entry=0.05):
             m = rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))
         else:
             m = rng.normal(size=(2, 4))
-        vals = minors(Matrix2x4(m)).values()
+        vals = minors(Matrix2x4(m))
         if min(abs(v) for v in vals) > min_entry:
-            return SixTuple.from_values(vals)
+            return SixTuple(*vals)
 
 
 def random_torus(rng, complex_mode):
@@ -246,7 +246,7 @@ def test_criterion_7_cross_ratio_bridge():
         p = minors(m)
         if abs(p.a23 * p.a14) < 1e-3:
             continue
-        lhs = cross_ratio_points(*(tuple(m.column(k)) for k in (1, 2, 3, 4)))
+        lhs = cross_ratio_points(*(tuple(m.rows[:, k - 1]) for k in (1, 2, 3, 4)))
         rhs = cross_ratio_invariant(p)
         if abs(lhs - rhs) > 1e-12 * max(abs(rhs), 1.0):
             ok = False

@@ -1,0 +1,42 @@
+"""The benchmark can still call the package: one traced round of `sweep` and `orbit`.
+
+`bench/workloads.py` calls the package by name and patches some of its
+functions and methods to time them (see `workloads.calls` and
+`workloads.instrument`).  This runs one round of each in-process workload
+with those patches on and every check of `bench/checker.py`, so a change
+that removes a name the benchmark uses fails here, not only in the slow
+`bench/test_smoke.py`.
+"""
+
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture
+def bench(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import spans
+    import workloads
+
+    return spans, workloads
+
+
+@pytest.mark.parametrize("name", ["sweep", "orbit"])
+def test_one_traced_round(bench, name):
+    spans, workloads = bench
+    prog = workloads.load_program(ROOT / "src")
+    tracer = spans.Tracer()
+    api = workloads.calls(prog, tracer)
+    workloads.instrument(tracer, prog)
+    try:
+        workload = workloads.make(name, 1, prog, api, ROOT / "src")
+        failed = 0
+        for spec in workload.next_round():
+            failed += workload.check(spec, workload.op(spec))
+    finally:
+        tracer.restore()
+    assert failed == 0
+    assert tracer.spans and None not in tracer.spans

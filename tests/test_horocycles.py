@@ -9,8 +9,6 @@ from hypothesis import given, strategies as st
 from threeterm.errors import DegenerateError, DomainError
 from threeterm.horocycles import (
     EuclideanCircle,
-    Horocycle,
-    LambdaLength,
     horocycle_from_tangency,
     horocycle_to_circle,
     lambda_length,
@@ -20,22 +18,20 @@ from threeterm.models import BoundaryPoint, LightConePoint, MinkowskiVec
 SQRT2 = math.sqrt(2.0)
 
 
-def horocycle_at(theta: float, z: float) -> Horocycle:
-    return Horocycle(
-        LightConePoint(MinkowskiVec(z * math.cos(theta), z * math.sin(theta), z))
-    )
+def horocycle_at(theta: float, z: float) -> LightConePoint:
+    return LightConePoint(MinkowskiVec(z * math.cos(theta), z * math.sin(theta), z))
 
 
 class TestCircleView:
     def test_worked_example(self):
-        circle = horocycle_to_circle(Horocycle(LightConePoint(MinkowskiVec(SQRT2, 0, SQRT2))))
+        circle = horocycle_to_circle(LightConePoint(MinkowskiVec(SQRT2, 0, SQRT2)))
         assert abs(circle.radius - 1 / 3) < 1e-15
         assert abs(circle.center[0] - 2 / 3) < 1e-15 and circle.center[1] == 0.0
 
     def test_radius_shrinks_under_scaling(self):
         h = horocycle_at(1.0, 1.0)
         radii = [
-            horocycle_to_circle(Horocycle(LightConePoint(h.u.u.scaled(s)))).radius
+            horocycle_to_circle(LightConePoint(h.u.scaled(s))).radius
             for s in (1.0, 10.0, 1e4, 1e8)
         ]
         assert radii == sorted(radii, reverse=True)
@@ -56,8 +52,7 @@ class TestCircleView:
 
 class TestFromTangency:
     def test_worked_example(self):
-        h = horocycle_from_tangency(BoundaryPoint(0.0), 1 / 3)
-        u = h.u.u
+        u = horocycle_from_tangency(BoundaryPoint(0.0), 1 / 3).u
         assert abs(u.x - SQRT2) < 1e-15 and u.y == 0.0 and abs(u.z - SQRT2) < 1e-15
 
     def test_round_trip(self):
@@ -81,26 +76,33 @@ class TestLambdaLength:
         h1 = horocycle_from_tangency(BoundaryPoint(0.0), 0.25)
         h2 = horocycle_from_tangency(BoundaryPoint(math.pi / 2), 0.25)
         lam = lambda_length(h1, h2)
-        assert abs(lam.value - 3 / SQRT2) < 1e-14
+        assert abs(lam - 3 / SQRT2) < 1e-14
 
     def test_symmetric(self):
         h1 = horocycle_at(0.3, 2.0)
         h2 = horocycle_at(2.9, 0.7)
-        assert lambda_length(h1, h2).value == lambda_length(h2, h1).value
+        assert lambda_length(h1, h2) == lambda_length(h2, h1)
 
     def test_common_ray_rejected(self):
         h = horocycle_at(1.2, 3.0)
-        scaled = Horocycle(LightConePoint(h.u.u.scaled(4.5)))
+        scaled = LightConePoint(h.u.scaled(4.5))
         with pytest.raises(DegenerateError):
             lambda_length(h, scaled)
 
-    def test_value_encodes_delta(self):
-        lam = lambda_length(horocycle_at(0.1, 1.3), horocycle_at(2.0, 0.4))
-        assert abs(lam.value - math.exp(lam.delta / 2.0)) < 1e-12
-
-    def test_from_value_rejects_nonpositive(self):
-        with pytest.raises(DomainError):
-            LambdaLength.from_value(0.0)
+    @given(
+        r1=st.floats(min_value=0.01, max_value=0.99),
+        r2=st.floats(min_value=0.01, max_value=0.99),
+        phi=st.floats(min_value=0.0, max_value=2 * math.pi),
+    )
+    def test_value_encodes_delta(self, r1, r2, phi):
+        # Horocycles tangent at antipodal points phi and phi + pi meet the
+        # diameter between them at distances 1 - 2r from the centre, so their
+        # signed distance along it is delta = 2 atanh(1 - 2r1) + 2 atanh(1 - 2r2)
+        # and the lambda length is exp(delta / 2).
+        lam = lambda_length(horocycle_from_tangency(BoundaryPoint(phi), r1),
+                            horocycle_from_tangency(BoundaryPoint(phi + math.pi), r2))
+        delta = 2 * math.atanh(1 - 2 * r1) + 2 * math.atanh(1 - 2 * r2)
+        assert abs(lam - math.exp(delta / 2)) <= 1e-12 * lam
 
     @given(
         s=st.floats(min_value=1e-3, max_value=1e3),
@@ -111,17 +113,17 @@ class TestLambdaLength:
     def test_scaling_law(self, s, theta, z1, z2):
         # replacing u1 by s*u1 multiplies the lambda length by sqrt(s)
         h1, h2 = horocycle_at(0.0, z1), horocycle_at(theta, z2)
-        base = lambda_length(h1, h2).value
-        scaled = lambda_length(Horocycle(LightConePoint(h1.u.u.scaled(s))), h2).value
+        base = lambda_length(h1, h2)
+        scaled = lambda_length(LightConePoint(h1.u.scaled(s)), h2)
         assert abs(scaled - math.sqrt(s) * base) <= 1e-12 * scaled
 
     def test_sign_semantics(self):
-        # disjoint circles: positive distance; overlapping ones: negative
+        # lambda > 1 exactly when the horocycles are disjoint
         far = lambda_length(
             horocycle_from_tangency(BoundaryPoint(0.0), 0.2),
             horocycle_from_tangency(BoundaryPoint(math.pi), 0.2),
         )
-        assert far.delta > 0.0
+        assert far > 1.0
         near = lambda_length(
             horocycle_from_tangency(BoundaryPoint(0.0), 0.45),
             horocycle_from_tangency(BoundaryPoint(0.1), 0.45),
@@ -130,7 +132,7 @@ class TestLambdaLength:
         c2 = horocycle_to_circle(horocycle_from_tangency(BoundaryPoint(0.1), 0.45))
         centers = math.hypot(c1.center[0] - c2.center[0], c1.center[1] - c2.center[1])
         assert centers < c1.radius + c2.radius  # really overlapping
-        assert near.delta < 0.0
+        assert near < 1.0
 
     def test_ptolemy_for_four_horocycles(self):
         rng = np.random.default_rng(31)
@@ -141,7 +143,7 @@ class TestLambdaLength:
             zs = rng.uniform(0.05, 20.0, size=4)
             h = [horocycle_at(t, z) for t, z in zip(thetas, zs)]
             lam = {
-                (i, j): lambda_length(h[i], h[j]).value
+                (i, j): lambda_length(h[i], h[j])
                 for i in range(4)
                 for j in range(i + 1, 4)
             }

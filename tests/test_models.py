@@ -2,8 +2,10 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from threeterm.errors import DegenerateError, DomainError
 from threeterm.models import (
@@ -34,6 +36,16 @@ def arccosh_oracle(w1: UhpPoint, w2: UhpPoint) -> float:
     """Textbook half-plane distance: cosh d = 1 + |w1-w2|^2 / (2 y1 y2)."""
     dx, dy = w1.re - w2.re, w1.im - w2.im
     return math.acosh(1.0 + (dx * dx + dy * dy) / (2.0 * w1.im * w2.im))
+
+
+# Unit roundoff of a float: one correctly rounded operation is off by at most U.
+U = 2.0**-53
+
+angles = st.floats(min_value=0.0, max_value=2 * math.pi)
+
+
+def polar(radius: float, phi: float) -> DiskPoint:
+    return DiskPoint(radius * math.cos(phi), radius * math.sin(phi))
 
 
 class TestMinkPair:
@@ -105,8 +117,18 @@ class TestDiskHyperboloid:
             p = hyperboloid_to_disk(HyperboloidPoint(MinkowskiVec(x, y, z)))
             assert p.x**2 + p.y**2 < 1.0
 
+    @given(log_gap=st.floats(min_value=-12.0, max_value=0.0), phi=angles)
+    def test_round_trip_up_to_the_boundary(self, log_gap, phi):
+        # 1 - |p| = 10**log_gap.  The lift scales by f = 1/(1 - |p|^2), whose
+        # relative error grows like U/(1 - |p|), but the projection back is
+        # damped by 1/z = (1 - |p|^2)/(1 + |p|^2), so the round trip costs only
+        # the handful of roundings of the two maps: fewer than eight U.
+        p = polar(1.0 - 10.0**log_gap, phi)
+        q = hyperboloid_to_disk(disk_to_hyperboloid(p))
+        assert math.hypot(q.x - p.x, q.y - p.y) <= 8 * U * math.hypot(p.x, p.y)
+
     def test_construction_tolerance(self):
-        # slightly off the sheet: accepted and renormalized
+        # slightly off the sheet: accepted and snapped onto it
         v = HyperboloidPoint(MinkowskiVec(4 / 3, 0, 5 / 3 * (1 + 1e-11))).v
         assert abs(mink_pair(v, v) + 1.0) < 1e-14
         with pytest.raises(DomainError):
@@ -142,6 +164,13 @@ class TestLightCone:
             LightConePoint(MinkowskiVec(0, 0, 0))
         with pytest.raises(DomainError):
             LightConePoint(MinkowskiVec(-1, 0, -1))
+
+    @pytest.mark.parametrize("cls", [LightConePoint, HyperboloidPoint])
+    def test_overflowing_pairing_rejected(self, cls):
+        # x^2 and z^2 overflow, so the pairing is NaN and cannot vouch for the
+        # vector; snapping z to the size of x would hide that z is 5x too big.
+        with pytest.raises(DomainError):
+            cls(MinkowskiVec(1e200, 0, 5e200))
 
 
 class TestBoundaryPoint:
@@ -246,13 +275,27 @@ class TestDistances:
         v = HyperboloidPoint(MinkowskiVec(4 / 3, 0, 5 / 3))
         assert abs(hyp_distance_hyperboloid(apex, v) - math.acosh(5 / 3)) < 1e-12
 
-    def test_pairing_domain_violation(self):
-        apex = HyperboloidPoint(MinkowskiVec(0, 0, 1))
-        with pytest.raises(DomainError):
-            # forged object bypassing construction, pairing > -1
-            bad = object.__new__(HyperboloidPoint)
-            object.__setattr__(bad, "v", MinkowskiVec(0, 0, 0.5))
-            hyp_distance_hyperboloid(apex, bad)
+    @settings(deadline=None)
+    @given(radius=st.floats(min_value=0.0, max_value=0.85), phi=angles,
+           log_step=st.floats(min_value=-10.0, max_value=-1.0), theta=angles)
+    def test_small_distances_against_mpmath(self, radius, phi, log_step, theta):
+        # Two points 10**log_step apart, against the disk distance
+        # 2 atanh(|p-q| / |1 - conj(p) q|) at 50 digits.  Each lifted
+        # component is off by a few U*z, while the difference of two lifts a
+        # distance d apart has components of about d*z; so <w,w> = 4 sinh^2(d/2)
+        # is off by about U*z^2*d and d by about U*z^2/d, relative.  The
+        # bound allows 8 of that, with z the larger height of the two lifts.
+        p = polar(radius, phi)
+        step = 10.0**log_step
+        q = DiskPoint(p.x + step * math.cos(theta), p.y + step * math.sin(theta))
+        assume((q.x, q.y) != (p.x, p.y))
+        v1, v2 = disk_to_hyperboloid(p), disk_to_hyperboloid(q)
+        with mpmath.workdps(50):
+            a, b = mpmath.mpc(p.x, p.y), mpmath.mpc(q.x, q.y)
+            want = float(2 * mpmath.atanh(abs(a - b) / abs(1 - mpmath.conj(a) * b)))
+        z = max(v1.v.z, v2.v.z)
+        got = hyp_distance_hyperboloid(v1, v2)
+        assert abs(got - want) <= 8 * U * (1.0 + z * z / want) * want
 
     def test_crossratio_matches_hyperboloid(self):
         rng = np.random.default_rng(19)

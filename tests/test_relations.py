@@ -1,7 +1,9 @@
 """Quadric residuals, torus action, cross-ratios, and the rescaling solver."""
 
 import cmath
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -58,9 +60,7 @@ def random_on_quadric(rng, complex_mode=False, min_entry=0.05) -> SixTuple:
         x, y = m[0], m[1]
         vals = [x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1] for i, j in PAIRS]
         if min(abs(v) for v in vals) > min_entry:
-            return SixTuple.from_values(
-                complex(v) if complex_mode else float(v) for v in vals
-            )
+            return SixTuple(*(complex(v) if complex_mode else float(v) for v in vals))
 
 
 def random_torus(rng, complex_mode=False) -> TorusElement:
@@ -179,7 +179,7 @@ class TestTorusAction:
         # both ways, off-quadric stays off
         rng = np.random.default_rng(67)
         for _ in range(300):
-            t = SixTuple.from_values(rng.uniform(-3, 3, size=6))
+            t = SixTuple(*rng.uniform(-3, 3, size=6))
             q = random_torus(rng)
             factor = math.prod(q.values())
             res_b = residual(torus_apply(q, t))
@@ -276,7 +276,7 @@ class TestRescalingSolve:
         rng = np.random.default_rng(97)
         cfg = random_config(rng)
         table = measure_all(cfg)
-        doubled = SixTuple.from_values(2.0 * v for v in table.p.values())
+        doubled = SixTuple(*(2.0 * v for v in table.p))
         assert_plus_minus(rescaling_solve(doubled, table.d), (1, 1, 1, 1))
 
     def test_complex_round_trip(self):
@@ -292,7 +292,7 @@ class TestRescalingSolve:
         q = TorusElement(1j, -1j, 1j, 1j)
         b = torus_apply(q, SQUARE_CHORDS)
         assert all(isinstance(v, complex) and abs(v.imag) < 1e-15 for v in b.values())
-        real_b = SixTuple.from_values(v.real for v in b.values())
+        real_b = SixTuple(*(v.real for v in b))
         recovered = rescaling_solve(SQUARE_CHORDS, real_b)
         assert_plus_minus(recovered, q.values())
 
@@ -325,7 +325,7 @@ class TestRescalingSolve:
         q = random_torus(rng)
         b = torus_apply(q, t)
         got = rescaling_solve(t, b)
-        for candidate in (got, got.negated()):
+        for candidate in (got, TorusElement(*(-v for v in got))):
             qs = (None,) + candidate.values()
             for (i, j), av, bv in zip(PAIRS, t.values(), b.values()):
                 assert abs(qs[i] * qs[j] * av - bv) <= 1e-9 * abs(bv)
@@ -400,7 +400,7 @@ class TestCrossRatioPoints:
                 cols[0, i - 1] * cols[1, j - 1] - cols[0, j - 1] * cols[1, i - 1]
                 for i, j in PAIRS
             ]
-            t = SixTuple.from_values(minors)
+            t = SixTuple(*minors)
             if abs(t.a23 * t.a14) < 1e-3:
                 continue
             assert abs(
@@ -408,15 +408,14 @@ class TestCrossRatioPoints:
             ) <= 1e-12 * max(abs(cross_ratio_invariant(t)), 1.0)
 
 
+# Each way to build a value again from an existing one, by name.
+REBUILDS = {"copy": copy.copy, "deepcopy": copy.deepcopy} | {
+    f"pickle{k}": (lambda v, k=k: pickle.loads(pickle.dumps(v, protocol=k)))
+    for k in range(pickle.HIGHEST_PROTOCOL + 1)
+}
+
+
 class TestSixTuple:
-    def test_from_values_order(self):
-        t = SixTuple.from_values([1, 2, 3, 4, 5, 6])
-        assert (t.a12, t.a13, t.a14, t.a23, t.a24, t.a34) == (1, 2, 3, 4, 5, 6)
-
-    def test_from_values_length_checked(self):
-        with pytest.raises(ValueError):
-            SixTuple.from_values([1, 2, 3])
-
     def test_iteration(self):
         assert list(SixTuple(1, 2, 3, 4, 5, 6)) == [1, 2, 3, 4, 5, 6]
 
@@ -434,3 +433,63 @@ class TestSixTuple:
     def test_torus_element_non_finite_rejected(self, bad):
         with pytest.raises(DegenerateError):
             TorusElement(1.0, bad, 1.0, 1.0)
+
+    def test_six_tuple_is_a_tuple(self):
+        t = SixTuple(1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        assert isinstance(t, tuple)
+        assert t == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
+        assert (t.a12, t.a13, t.a14, t.a23, t.a24, t.a34) == tuple(t)
+        # + and * concatenate and repeat, as for any tuple
+        assert t + t == tuple(t) * 2
+
+    def test_torus_element_is_a_tuple(self):
+        q = TorusElement(1.0, -2.0, 3j, 4.0)
+        assert isinstance(q, tuple)
+        assert q == (1.0, -2.0, 3j, 4.0)
+        assert (q.q1, q.q2, q.q3, q.q4) == tuple(q)
+
+    def test_repr_names_the_entries(self):
+        assert repr(SixTuple(1, 2, 3, 4, 5, 6)) == "SixTuple(a12=1, a13=2, a14=3, a23=4, a24=5, a34=6)"
+        assert repr(TorusElement(1, 2, 3, 4)) == "TorusElement(q1=1, q2=2, q3=3, q4=4)"
+
+    def test_values_is_a_plain_tuple(self):
+        for v in (SixTuple(1, 2, 3, 4, 5, 6), TorusElement(1, 2, 3, 4)):
+            assert type(v.values()) is tuple
+            assert v.values() == v
+
+    def test_immutable(self):
+        t = SixTuple(1, 2, 3, 4, 5, 6)
+        with pytest.raises(AttributeError):
+            t.a12 = 7.0
+        with pytest.raises(TypeError):
+            t[0] = 7.0
+
+    def test_wrong_arity_rejected(self):
+        with pytest.raises(TypeError):
+            SixTuple(1, 2, 3)
+        with pytest.raises(TypeError):
+            TorusElement(1, 2, 3, 4, 5)
+
+    def test_no_unvalidated_constructors(self):
+        # namedtuple's _make and _replace would build through tuple.__new__.
+        for cls in (SixTuple, TorusElement):
+            assert not hasattr(cls, "_make") and not hasattr(cls, "_replace")
+
+    @pytest.mark.parametrize("rebuild", REBUILDS.values(), ids=list(REBUILDS))
+    def test_rebuild_keeps_type_and_entries(self, rebuild):
+        for v in (SixTuple(1.0, 2j, 3.0, 4.0, 5.0, 6.0), TorusElement(1.0, 2.0, -3.0, 4j)):
+            again = rebuild(v)
+            assert type(again) is type(v) and again == v
+
+    @pytest.mark.parametrize("rebuild", REBUILDS.values(), ids=list(REBUILDS))
+    @pytest.mark.parametrize("forged", [
+        tuple.__new__(SixTuple, (1.0, 2.0, 3.0, 4.0, 5.0, math.nan)),
+        tuple.__new__(SixTuple, (complex(0.0, math.inf), 2.0, 3.0, 4.0, 5.0, 6.0)),
+        tuple.__new__(TorusElement, (1.0, math.inf, 1.0, 1.0)),
+        tuple.__new__(TorusElement, (1.0, 1.0, 0.0, 1.0)),
+    ], ids=["six-nan", "six-complex-inf", "torus-inf", "torus-zero"])
+    def test_rebuild_validates(self, rebuild, forged):
+        # A value built around the checks is caught as soon as it is copied
+        # or unpickled, because both go through the validating constructor.
+        with pytest.raises(DegenerateError):
+            rebuild(forged)
