@@ -167,8 +167,9 @@ def _parse_config(doc, path: str, kinds=("concyclic", "lightcone", "matrix")):
     return ConcyclicConfig(tuple(alphas), tuple(radii))
 
 
-def _rel_dev(lhs: float, rhs: float) -> float:
-    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
+def _max_rel_dev(lhs, rhs) -> float:
+    """The largest entrywise deviation |l - r| / max(|l|, |r|, 1)."""
+    return max([abs(l - r) / max(abs(l), abs(r), 1.0) for l, r in zip(lhs, rhs)])
 
 
 def build_report(cfg: ConcyclicConfig, tol: float) -> dict:
@@ -182,23 +183,14 @@ def build_report(cfg: ConcyclicConfig, tol: float) -> dict:
     table = measure_all(cfg)
     families = {"d": table.d, "t": table.t, "lambda": table.lam, "P": table.p}
     residuals = {name: relative_residual(t) for name, t in families.items()}
-    sqrt_2r = [math.sqrt(2.0 * v) for v in cfg.r]
-    dev_chord_bitangent = 0.0
-    dev_bitangent_lambda = 0.0
-    dev_chord_plucker = 0.0
-    for (i, j), d_ij, t_ij, p_ij in zip(PAIRS, table.d, table.t, table.p):
-        dev_chord_bitangent = max(
-            dev_chord_bitangent, _rel_dev(t_ij, bitangent_direct(cfg, i, j))
-        )
-        scale = sqrt_2r[i - 1] * sqrt_2r[j - 1]
-        dev_bitangent_lambda = max(
-            dev_bitangent_lambda, _rel_dev(t_ij, lambda_minkowski(cfg, i, j) * scale)
-        )
-        dev_chord_plucker = max(dev_chord_plucker, _rel_dev(d_ij, 2.0 * p_ij))
+    s1, s2, s3, s4 = (math.sqrt(2.0 * v) for v in cfg.r)
+    scales = (s1 * s2, s1 * s3, s1 * s4, s2 * s3, s2 * s4, s3 * s4)
     identities = {
-        "chord_bitangent": dev_chord_bitangent,
-        "bitangent_lambda": dev_bitangent_lambda,
-        "chord_plucker": dev_chord_plucker,
+        "chord_bitangent": _max_rel_dev(table.t, [bitangent_direct(cfg, i, j) for i, j in PAIRS]),
+        "bitangent_lambda": _max_rel_dev(
+            table.t, [lambda_minkowski(cfg, i, j) * s for (i, j), s in zip(PAIRS, scales)]
+        ),
+        "chord_plucker": _max_rel_dev(table.d, [2.0 * v for v in table.p]),
     }
     passed = {name: value <= tol for name, value in residuals.items()}
     passed.update({name: value <= tol for name, value in identities.items()})

@@ -51,7 +51,9 @@ def horocycle_from_tangency(theta: BoundaryPoint, r: float) -> LightConePoint:
         raise DomainError(f"tangent circle radius must lie in (0, 1): {r}")
     z = (1.0 / r - 1.0) / SQRT2
     cx, cy = theta.xy()
-    return LightConePoint(MinkowskiVec(z * cx, z * cy, z))
+    x, y = z * cx, z * cy
+    # The third component is hypot(x, y) already, so LightConePoint keeps this vector.
+    return LightConePoint(MinkowskiVec(x, y, math.hypot(x, y)))
 
 
 def lambda_length(h1: LightConePoint, h2: LightConePoint) -> float:

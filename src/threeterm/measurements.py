@@ -31,7 +31,7 @@ from itertools import combinations
 from .errors import ConfigurationError
 from .horocycles import horocycle_from_tangency, lambda_length
 from .models import BoundaryPoint, LightConePoint
-from .relations import PAIRS, SixTuple, TorusElement, torus_apply
+from .relations import SixTuple, TorusElement, torus_apply
 
 # Circles must clear each other by this much to count as disjoint.
 DISJOINT_MARGIN = 1e-9
@@ -138,14 +138,20 @@ def measure_all(cfg: ConcyclicConfig) -> MeasurementTable:
     P_ij = cos a_i sin a_j - cos a_j sin a_i, the minors of the unit
     half-angle columns, which equal d_ij / 2.
     """
-    alpha, r = cfg.alpha, cfg.r
-    d = SixTuple(*[2.0 * math.sin(alpha[j - 1] - alpha[i - 1]) for i, j in PAIRS])
-    t = torus_apply(TorusElement(*[math.sqrt(1.0 - v) for v in r]), d)
-    s = [math.sqrt(2.0 * v) for v in r]
+    a1, a2, a3, a4 = cfg.alpha
+    r1, r2, r3, r4 = cfg.r
+    sin, cos, sqrt = math.sin, math.cos, math.sqrt
+    d = SixTuple(2.0 * sin(a2 - a1), 2.0 * sin(a3 - a1), 2.0 * sin(a4 - a1),
+                 2.0 * sin(a3 - a2), 2.0 * sin(a4 - a2), 2.0 * sin(a4 - a3))
+    t = torus_apply(TorusElement(sqrt(1.0 - r1), sqrt(1.0 - r2), sqrt(1.0 - r3), sqrt(1.0 - r4)), d)
+    s1, s2, s3, s4 = sqrt(2.0 * r1), sqrt(2.0 * r2), sqrt(2.0 * r3), sqrt(2.0 * r4)
+    t12, t13, t14, t23, t24, t34 = t
     # Divide by s_i*s_j rather than multiply by the torus inverse, which
     # would round differently and change the reported lambda lengths.
-    lam = SixTuple(*[v / (s[i - 1] * s[j - 1]) for (i, j), v in zip(PAIRS, t)])
-    cos = [math.cos(a) for a in alpha]
-    sin = [math.sin(a) for a in alpha]
-    p = SixTuple(*[cos[i - 1] * sin[j - 1] - cos[j - 1] * sin[i - 1] for i, j in PAIRS])
+    lam = SixTuple(t12 / (s1 * s2), t13 / (s1 * s3), t14 / (s1 * s4),
+                   t23 / (s2 * s3), t24 / (s2 * s4), t34 / (s3 * s4))
+    c1, c2, c3, c4 = cos(a1), cos(a2), cos(a3), cos(a4)
+    n1, n2, n3, n4 = sin(a1), sin(a2), sin(a3), sin(a4)
+    p = SixTuple(c1 * n2 - c2 * n1, c1 * n3 - c3 * n1, c1 * n4 - c4 * n1,
+                 c2 * n3 - c3 * n2, c2 * n4 - c4 * n2, c3 * n4 - c4 * n3)
     return MeasurementTable(d=d, t=t, lam=lam, p=p)

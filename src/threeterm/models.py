@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateError, DomainError
@@ -17,9 +18,12 @@ from .relations import cross_ratio_points
 
 TWO_PI = 2.0 * math.pi
 
+# The normal floats.
+_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+
 # Type invariants (<u,u>=0, <v,v>=-1) are enforced at construction to this
-# tolerance, relative to the largest squared component (a pairing made NaN by
-# an overflowed square fails); passing vectors get z recomputed from x and y.
+# tolerance, relative to the largest squared component (see _pairing_miss);
+# passing vectors get z recomputed from x and y.
 CONSTRUCTION_TOL = 1e-9
 
 
@@ -32,15 +36,15 @@ class MinkowskiVec:
     z: float
 
     def __post_init__(self):
-        x, y, z = float(self.x), float(self.y), float(self.z)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
-        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        x, y, z = self.x, self.y, self.z
+        if not (type(x) is float and type(y) is float and type(z) is float):
+            x, y, z = float(x), float(y), float(z)
+            object.__setattr__(self, "x", x)
+            object.__setattr__(self, "y", y)
+            object.__setattr__(self, "z", z)
+        # 0.0*v is 0 for finite v and NaN otherwise, as in SixTuple.
+        if not math.isfinite(0.0 * x + 0.0 * y + 0.0 * z):
             raise DomainError(f"Minkowski vector has non-finite components: {self}")
-
-    def scaled(self, s: float) -> "MinkowskiVec":
-        return MinkowskiVec(s * self.x, s * self.y, s * self.z)
 
 
 def mink_pair(u: MinkowskiVec, v: MinkowskiVec) -> float:
@@ -48,8 +52,22 @@ def mink_pair(u: MinkowskiVec, v: MinkowskiVec) -> float:
     return u.x * v.x + u.y * v.y - u.z * v.z
 
 
-def _max_comp_sq(u: MinkowskiVec) -> float:
-    return max(u.x * u.x, u.y * u.y, u.z * u.z)
+def _pairing_miss(v: MinkowskiVec, target: float) -> float:
+    """|<v,v> - target| relative to the largest squared component of v.
+
+    While the largest square is a normal float, the pairing is formed as it
+    is.  Otherwise a square overflowed (the pairing is inf or NaN) or
+    underflowed, and the pairing cannot vouch for v; then v/m is checked, m
+    its largest |component|, against target/m^2.
+    """
+    x, y, z = v.x, v.y, v.z
+    xx, yy, zz = x * x, y * y, z * z
+    scale = max(xx, yy, zz)
+    if _TINY <= scale <= _HUGE:
+        return abs(xx + yy - zz - target) / scale
+    m = max(abs(x), abs(y), abs(z))
+    x, y, z = x / m, y / m, z / m
+    return abs(x * x + y * y - z * z - target / m / m)
 
 
 @dataclass(frozen=True)
@@ -60,15 +78,16 @@ class HyperboloidPoint:
 
     def __post_init__(self):
         v = self.v
-        scale = _max_comp_sq(v)
-        if v.z <= 0.0 or scale == 0.0:
+        if v.z <= 0.0:
             raise DomainError(f"not on the upper hyperboloid sheet: {v}")
-        pairing = mink_pair(v, v)
-        if not abs(pairing + 1.0) <= CONSTRUCTION_TOL * scale:
-            raise DomainError(f"<v,v> = {pairing}, not -1 within tolerance: {v}")
+        miss = _pairing_miss(v, -1.0)
+        if not miss <= CONSTRUCTION_TOL:
+            raise DomainError(f"<v,v> misses -1 by {miss:.3e} of the largest square: {v}")
         # Snap z to sqrt(1+x^2+y^2), as LightConePoint snaps z to hypot(x, y);
         # past z of about 1e4 the pairing cancels, so 1/sqrt(-pairing) would fail.
-        object.__setattr__(self, "v", MinkowskiVec(v.x, v.y, math.hypot(1.0, v.x, v.y)))
+        z = math.hypot(1.0, v.x, v.y)
+        if z != v.z:
+            object.__setattr__(self, "v", MinkowskiVec(v.x, v.y, z))
 
 
 @dataclass(frozen=True)
@@ -79,17 +98,17 @@ class LightConePoint:
 
     def __post_init__(self):
         u = self.u
-        scale = _max_comp_sq(u)
-        if u.z <= 0.0 or scale == 0.0:
+        if u.z <= 0.0:
             raise DomainError(f"not on the positive light cone: {u}")
-        pairing = mink_pair(u, u)
-        if not abs(pairing) <= CONSTRUCTION_TOL * scale:
-            raise DomainError(f"<u,u> = {pairing}, not 0 within tolerance: {u}")
+        miss = _pairing_miss(u, 0.0)
+        if not miss <= CONSTRUCTION_TOL:
+            raise DomainError(f"<u,u> misses 0 by {miss:.3e} of the largest square: {u}")
         rho = math.hypot(u.x, u.y)
         if rho == 0.0:
             raise DomainError(f"degenerate light-cone vector: {u}")
         # Snap z to sqrt(x^2+y^2); keeps the boundary angle untouched.
-        object.__setattr__(self, "u", MinkowskiVec(u.x, u.y, rho))
+        if rho != u.z:
+            object.__setattr__(self, "u", MinkowskiVec(u.x, u.y, rho))
 
 
 @dataclass(frozen=True)
@@ -261,16 +280,22 @@ def geodesic_ideal_endpoints(w1: UhpPoint, w2: UhpPoint) -> tuple[UhpPoint, UhpP
 
 
 def hyp_distance_crossratio(w1: UhpPoint, w2: UhpPoint) -> float:
-    """Hyperbolic distance via the cross-ratio of (w1, endpoint, w2, endpoint).
+    """Hyperbolic distance |log(-CR)| via the cross-ratio CR of (w1, e1, w2, e2).
 
-    The cross-ratio is evaluated on homogeneous coordinate vectors, with the
-    point at infinity as (1, 0); its sign depends on which ideal endpoint is
-    listed first, so the distance is |log|CR||, which the arccosh oracle
-    confirms is order-independent.
+    e1 and e2 are the ideal endpoints of the geodesic; cross-ratios are
+    taken on homogeneous coordinate vectors, with the point at infinity as
+    (1, 0).  Near d = 0, CR is near -1 and its log cancels.  There the
+    Pluecker relation P12*P34 + P14*P23 = P13*P24 gives -CR = 1 + X, with X
+    the cross-ratio of (w1, w2, e1, e2), which is -P13*P24/(P23*P14) and
+    small exactly when w1 is near w2; so d = |log1p(Re X)|.  Once -CR < 1/2
+    the log of CR itself loses nothing and log1p(X) would cancel instead.
     """
     e1, e2 = geodesic_ideal_endpoints(w1, w2)
-    cr = cross_ratio_points(*(p.projective() for p in (w1, e1, w2, e2)))
-    return abs(math.log(abs(cr)))
+    w1h, e1h, w2h, e2h = (p.projective() for p in (w1, e1, w2, e2))
+    x = cross_ratio_points(w1h, w2h, e1h, e2h).real
+    if x > -0.5:
+        return abs(math.log1p(x))
+    return abs(math.log(abs(cross_ratio_points(w1h, e1h, w2h, e2h))))
 
 
 def hyp_distance_hyperboloid(v1: HyperboloidPoint, v2: HyperboloidPoint) -> float:

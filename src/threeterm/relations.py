@@ -78,9 +78,9 @@ class TorusElement(_Named):
 
     def __new__(cls, q1, q2, q3, q4):
         self = tuple.__new__(cls, (q1, q2, q3, q4))
-        if any(v == 0 for v in self):
+        if q1 == 0 or q2 == 0 or q3 == 0 or q4 == 0:
             raise DegenerateError(f"torus element has a zero component: {self}")
-        if not all(map(cmath.isfinite, self)):
+        if not cmath.isfinite(0.0 * q1 + 0.0 * q2 + 0.0 * q3 + 0.0 * q4):
             raise DegenerateError(f"torus element has a non-finite component: {self}")
         return self
 

@@ -20,12 +20,29 @@ VIEW = 1000.0
 SCALE = 480.0
 CENTER = 500.0
 
-# Geodesics between nearly antipodal boundary points degenerate to diameters.
+# A geodesic whose boundary points A_i, A_j have |det| = |A_i x A_j| below
+# this is drawn as a straight line.  With phi the angle between them, its arc
+# departs from the chord by |det| / (2 (1 + sin(phi/2))) < |det|/2 in the
+# disk: nearly antipodal points give an orthogonal circle of radius above
+# 1e12, nearly coincident ones a chord shorter than about |det|.  That is
+# below 5e-13, or 2.4e-10 px, far under the 1e-6 px the SVG prints.
 _DIAMETER_TOL = 1e-12
 
+# 0-based index pairs in storage order.
+_PAIRS0 = tuple((i - 1, j - 1) for i, j in PAIRS)
 
-# The prolog, the style sheet and the boundary circle: the same in every document.
-_HEAD = "\n".join([
+
+def _segment(cls: str, label: str, end: str) -> str:
+    return (f'<line class="{cls}" x1="{end}" y1="{end}" x2="{end}" y2="{end}"/>\n'
+            f'<text class="label" x="%.6f" y="%.6f">{label}</text>')
+
+
+# Everything up to the geodesics, which choose between a line and an arc:
+# the prolog, the style sheet and the boundary circle, then the 4 horocycles
+# (cx, cy, r), the 6 chords and the 6 bitangents (two endpoints and a label
+# position each), filled from one flat tuple.  The chords' endpoints are the
+# tangency points, each formatted once and filled in as strings.
+_TEMPLATE = "\n".join([
     '<?xml version="1.0" encoding="UTF-8"?>',
     f'<svg xmlns="http://www.w3.org/2000/svg" width="{VIEW:.0f}" '
     f'height="{VIEW:.0f}" viewBox="0 0 {VIEW:.0f} {VIEW:.0f}">',
@@ -36,52 +53,46 @@ _HEAD = "\n".join([
     ".label{font:20px sans-serif;fill:#333;stroke:none}"
     "</style>",
     f'<circle class="boundary" cx="{CENTER:.6f}" cy="{CENTER:.6f}" r="{SCALE:.6f}"/>',
+    *['<circle class="horocycle" cx="%.6f" cy="%.6f" r="%.6f"/>'] * 4,
+    *[_segment("chord", f"d{i}{j}", "%s") for i, j in PAIRS],
+    *[_segment("bitangent", f"t{i}{j}", "%.6f") for i, j in PAIRS],
+    "",
 ])
+_GEODESIC_LINE = '<line class="geodesic" x1="%s" y1="%s" x2="%s" y2="%s"/>'
+_GEODESIC_ARC = '<path class="geodesic" d="M %s %s A %s %s 0 0 %d %s %s"/>'
 
 
-def bitangent_segment(
-    cfg: ConcyclicConfig, i: int, j: int
-) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Endpoints of the exterior bitangent segment between circles i and j.
+def _bitangent_segments(cfg: ConcyclicConfig) -> list[tuple[float, ...]]:
+    """The six exterior bitangent segments, in pair order: (x_i, y_i, x_j, y_j, hx, hy).
 
-    The tangent line has unit normal m with <C_j - C_i, m> = r_j - r_i and
-    both circles on the same side; of the two such lines we draw the one
-    whose segment midpoint lies farther from the origin (the outer one).
+    (x_i, y_i) and (x_j, y_j) are the points of tangency on circles i and j
+    and (hx, hy) the segment's midpoint.  The tangent line has unit normal m
+    with <C_j - C_i, m> = r_j - r_i and both circles on the same side; of the
+    two such lines we take the one whose segment midpoint lies strictly
+    farther from the origin (the outer one), else the first.
     """
-    ci, cj = cfg.centers[i - 1], cfg.centers[j - 1]
-    ri, rj = cfg.r[i - 1], cfg.r[j - 1]
-    dx, dy = cj[0] - ci[0], cj[1] - ci[1]
-    c = math.hypot(dx, dy)
-    ux, uy = dx / c, dy / c
-    cos_psi = (rj - ri) / c
-    sin_psi = math.sqrt(max(0.0, 1.0 - cos_psi * cos_psi))
-    best = None
-    best_dist = -1.0
-    for sign in (1.0, -1.0):
-        mx = cos_psi * ux - sign * sin_psi * uy
-        my = cos_psi * uy + sign * sin_psi * ux
-        ti = (ci[0] - ri * mx, ci[1] - ri * my)
-        tj = (cj[0] - rj * mx, cj[1] - rj * my)
-        mid = math.hypot((ti[0] + tj[0]) / 2.0, (ti[1] + tj[1]) / 2.0)
-        if mid > best_dist:
-            best_dist = mid
-            best = (ti, tj)
-    return best
-
-
-def _geodesic_arc(ai: tuple[float, float], aj: tuple[float, float]):
-    """Center and radius of the circle orthogonal to the unit circle through
-    the boundary points ai and aj, or None when the geodesic is a diameter.
-
-    The center M solves <A_i, M> = <A_j, M> = 1 (the orthogonality
-    condition) and the radius is sqrt(|M|^2 - 1).
-    """
-    det = ai[0] * aj[1] - ai[1] * aj[0]
-    if abs(det) < _DIAMETER_TOL:
-        return None
-    mx = (aj[1] - ai[1]) / det
-    my = (ai[0] - aj[0]) / det
-    return (mx, my), math.sqrt(mx * mx + my * my - 1.0)
+    centers, r = cfg.centers, cfg.r
+    segments = []
+    for i, j in _PAIRS0:
+        (cix, ciy), (cjx, cjy) = centers[i], centers[j]
+        ri, rj = r[i], r[j]
+        dx, dy = cjx - cix, cjy - ciy
+        c = math.hypot(dx, dy)
+        ux, uy = dx / c, dy / c
+        cos_psi = (rj - ri) / c
+        sin_psi = math.sqrt(max(0.0, 1.0 - cos_psi * cos_psi))
+        a, b = cos_psi * ux, sin_psi * uy
+        e, f = cos_psi * uy, sin_psi * ux
+        best, best_dist = None, -1.0
+        for mx, my in ((a - b, e + f), (a + b, e - f)):
+            tix, tiy = cix - ri * mx, ciy - ri * my
+            tjx, tjy = cjx - rj * mx, cjy - rj * my
+            hx, hy = (tix + tjx) / 2.0, (tiy + tjy) / 2.0
+            dist = math.hypot(hx, hy)
+            if dist > best_dist:
+                best, best_dist = (tix, tiy, tjx, tjy, hx, hy), dist
+        segments.append(best)
+    return segments
 
 
 def render_svg(cfg: ConcyclicConfig) -> str:
@@ -90,50 +101,31 @@ def render_svg(cfg: ConcyclicConfig) -> str:
     Points map to pixels as (CENTER + SCALE*x, CENTER - SCALE*y); every
     coordinate is written with 6 decimals.
     """
-    parts = [_HEAD]
+    values = []
     for (cx, cy), r in zip(cfg.centers, cfg.r):
-        parts.append(
-            f'<circle class="horocycle" cx="{CENTER + SCALE * cx:.6f}" '
-            f'cy="{CENTER - SCALE * cy:.6f}" r="{SCALE * r:.6f}"/>'
-        )
-    tangency = (None,) + cfg.tangency_points
-    px = [None] + [(CENTER + SCALE * x, CENTER - SCALE * y) for x, y in cfg.tangency_points]
-    for i, j in PAIRS:
-        (ax, ay), (bx, by) = tangency[i], tangency[j]
-        (x1, y1), (x2, y2) = px[i], px[j]
-        parts.append(
-            f'<line class="chord" x1="{x1:.6f}" y1="{y1:.6f}" x2="{x2:.6f}" y2="{y2:.6f}"/>\n'
-            f'<text class="label" x="{CENTER + SCALE * ((ax + bx) / 2.0):.6f}" '
-            f'y="{CENTER - SCALE * ((ay + by) / 2.0):.6f}">d{i}{j}</text>'
-        )
-    for i, j in PAIRS:
-        (ax, ay), (bx, by) = bitangent_segment(cfg, i, j)
-        parts.append(
-            f'<line class="bitangent" x1="{CENTER + SCALE * ax:.6f}" '
-            f'y1="{CENTER - SCALE * ay:.6f}" x2="{CENTER + SCALE * bx:.6f}" '
-            f'y2="{CENTER - SCALE * by:.6f}"/>\n'
-            f'<text class="label" x="{CENTER + SCALE * ((ax + bx) / 2.0):.6f}" '
-            f'y="{CENTER - SCALE * ((ay + by) / 2.0):.6f}">t{i}{j}</text>'
-        )
-    for i, j in PAIRS:
-        (x1, y1), (x2, y2) = px[i], px[j]
-        arc = _geodesic_arc(tangency[i], tangency[j])
-        if arc is None:
-            parts.append(
-                f'<line class="geodesic" x1="{x1:.6f}" y1="{y1:.6f}" '
-                f'x2="{x2:.6f}" y2="{y2:.6f}"/>'
-            )
+        values += (CENTER + SCALE * cx, CENTER - SCALE * cy, SCALE * r)
+    points = cfg.tangency_points
+    px = [("%.6f" % (CENTER + SCALE * x), "%.6f" % (CENTER - SCALE * y)) for x, y in points]
+    geodesics = []
+    for i, j in _PAIRS0:
+        (ax, ay), (bx, by) = points[i], points[j]
+        values += (*px[i], *px[j],
+                   CENTER + SCALE * ((ax + bx) / 2.0), CENTER - SCALE * ((ay + by) / 2.0))
+        # The circle orthogonal to the unit circle through A_i and A_j has
+        # the center M with <A_i, M> = <A_j, M> = 1 and radius sqrt(|M|^2 - 1).
+        det = ax * by - ay * bx
+        if abs(det) < _DIAMETER_TOL:
+            geodesics.append(_GEODESIC_LINE % (*px[i], *px[j]))
             continue
-        (mx, my), radius = arc
-        (ax, ay), (bx, by) = tangency[i], tangency[j]
+        mx, my = (by - ay) / det, (ax - bx) / det
+        rpx = "%.6f" % (SCALE * math.sqrt(mx * mx + my * my - 1.0))
         # Minor arc; math-counterclockwise becomes sweep 0 after the y flip.
         sweep = 0 if (ax - mx) * (by - my) - (ay - my) * (bx - mx) > 0 else 1
-        rpx = f"{SCALE * radius:.6f}"
-        parts.append(
-            f'<path class="geodesic" d="M {x1:.6f} {y1:.6f} '
-            f'A {rpx} {rpx} 0 0 {sweep} {x2:.6f} {y2:.6f}"/>'
-        )
-    parts.append("</svg>\n")
+        geodesics.append(_GEODESIC_ARC % (*px[i], rpx, rpx, sweep, *px[j]))
+    for tix, tiy, tjx, tjy, hx, hy in _bitangent_segments(cfg):
+        values += (CENTER + SCALE * tix, CENTER - SCALE * tiy, CENTER + SCALE * tjx,
+                   CENTER - SCALE * tjy, CENTER + SCALE * hx, CENTER - SCALE * hy)
+    geodesics.append("</svg>\n")
     # Every "-" before a digit is a number's sign, so this maps each
     # negative zero to "0.000000" without touching any other number.
-    return "\n".join(parts).replace("-0.000000", "0.000000")
+    return (_TEMPLATE % tuple(values) + "\n".join(geodesics)).replace("-0.000000", "0.000000")

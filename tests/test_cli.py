@@ -32,6 +32,14 @@ class TestMeasure:
         golden = (DATA / "square_measure_golden.json").read_text(encoding="utf-8")
         assert out == golden
 
+    def test_near_tangent_golden_json(self, capsys):
+        # Radii from 1e-4 to 0.6 and circles 3 and 4 about 1e-6 apart, as in
+        # the benchmark's near-tangent configurations.
+        code, out, _ = run(capsys, "measure", str(DATA / "near_tangent.json"), "--json")
+        assert code == 0
+        golden = (DATA / "near_tangent_measure_golden.json").read_text(encoding="utf-8")
+        assert out == golden
+
     def test_json_round_trips(self, capsys):
         _, out, _ = run(capsys, "measure", str(DATA / "square_config.json"), "--json")
         report = json.loads(out)
@@ -351,6 +359,7 @@ class TestRender:
     @pytest.mark.parametrize("config,golden", [
         ("square_config.json", "square_render_golden.svg"),
         ("tiny_radii.json", "tiny_radii_render_golden.svg"),
+        ("near_tangent.json", "near_tangent_render_golden.svg"),
     ])
     def test_render_matches_golden_bytes(self, tmp_path, capsys, config, golden):
         out = tmp_path / "out.svg"

@@ -13,6 +13,7 @@ from threeterm.horocycles import (
     horocycle_to_circle,
     lambda_length,
 )
+from threeterm.measurements import ConcyclicConfig
 from threeterm.models import BoundaryPoint, LightConePoint, MinkowskiVec
 
 SQRT2 = math.sqrt(2.0)
@@ -29,9 +30,9 @@ class TestCircleView:
         assert abs(circle.center[0] - 2 / 3) < 1e-15 and circle.center[1] == 0.0
 
     def test_radius_shrinks_under_scaling(self):
-        h = horocycle_at(1.0, 1.0)
+        u = horocycle_at(1.0, 1.0).u
         radii = [
-            horocycle_to_circle(LightConePoint(h.u.scaled(s))).radius
+            horocycle_to_circle(LightConePoint(MinkowskiVec(s * u.x, s * u.y, s * u.z))).radius
             for s in (1.0, 10.0, 1e4, 1e8)
         ]
         assert radii == sorted(radii, reverse=True)
@@ -65,6 +66,28 @@ class TestFromTangency:
             assert abs(circle.center[0] - (1 - r) * math.cos(theta)) < 1e-12
             assert abs(circle.center[1] - (1 - r) * math.sin(theta)) < 1e-12
 
+    @given(theta=st.floats(min_value=-10.0, max_value=10.0),
+           r=st.floats(min_value=1e-6, max_value=1.0, exclude_max=True))
+    def test_same_vector_as_snapping_z(self, theta, r):
+        # The light-cone point built directly with z = hypot(x, y) equals,
+        # component for component, the one LightConePoint snaps z to from
+        # (z cos theta, z sin theta, z).
+        b = BoundaryPoint(theta)
+        z = (1.0 / r - 1.0) / SQRT2
+        old = LightConePoint(MinkowskiVec(z * math.cos(b.theta), z * math.sin(b.theta), z)).u
+        u = horocycle_from_tangency(b, r).u
+        assert (u.x, u.y, u.z) == (old.x, old.y, old.z)
+
+    def test_one_vector_per_horocycle(self, monkeypatch):
+        calls = []
+        post_init = MinkowskiVec.__post_init__
+        monkeypatch.setattr(MinkowskiVec, "__post_init__",
+                            lambda self: calls.append(self) or post_init(self))
+        cfg = ConcyclicConfig((0.1, 0.7, 1.6, 2.9), (1e-4, 0.2, 0.05, 0.4))
+        horocycles = [cfg.horocycle(i) for i in range(1, 5)]
+        assert len(calls) == 4
+        assert all(h.u is v for h, v in zip(horocycles, calls))
+
     @pytest.mark.parametrize("r", [1.0, 0.0, -0.2, 1.5])
     def test_radius_domain(self, r):
         with pytest.raises(DomainError):
@@ -85,7 +108,7 @@ class TestLambdaLength:
 
     def test_common_ray_rejected(self):
         h = horocycle_at(1.2, 3.0)
-        scaled = LightConePoint(h.u.scaled(4.5))
+        scaled = LightConePoint(MinkowskiVec(4.5 * h.u.x, 4.5 * h.u.y, 4.5 * h.u.z))
         with pytest.raises(DegenerateError):
             lambda_length(h, scaled)
 
@@ -114,7 +137,8 @@ class TestLambdaLength:
         # replacing u1 by s*u1 multiplies the lambda length by sqrt(s)
         h1, h2 = horocycle_at(0.0, z1), horocycle_at(theta, z2)
         base = lambda_length(h1, h2)
-        scaled = lambda_length(LightConePoint(h1.u.scaled(s)), h2)
+        u = h1.u
+        scaled = lambda_length(LightConePoint(MinkowskiVec(s * u.x, s * u.y, s * u.z)), h2)
         assert abs(scaled - math.sqrt(s) * base) <= 1e-12 * scaled
 
     def test_sign_semantics(self):

@@ -151,7 +151,7 @@ class TestLightCone:
             s = rng.uniform(0.01, 100)
             u = MinkowskiVec(z * math.cos(theta), z * math.sin(theta), z)
             b1 = lightcone_to_boundary(LightConePoint(u))
-            b2 = lightcone_to_boundary(LightConePoint(u.scaled(s)))
+            b2 = lightcone_to_boundary(LightConePoint(MinkowskiVec(s * u.x, s * u.y, s * u.z)))
             assert abs(b1.theta - b2.theta) < 1e-12
 
     def test_unit_ray(self):
@@ -167,10 +167,30 @@ class TestLightCone:
 
     @pytest.mark.parametrize("cls", [LightConePoint, HyperboloidPoint])
     def test_overflowing_pairing_rejected(self, cls):
-        # x^2 and z^2 overflow, so the pairing is NaN and cannot vouch for the
-        # vector; snapping z to the size of x would hide that z is 5x too big.
+        # The squares overflow, so the pairing is NaN or inf and cannot vouch
+        # for the vector.  Divided by its largest component, each vector
+        # misses the cone by 0.75, 0.96 and 1.
+        for v in ((1e200, 0, 2e200), (1e200, 0, 5e200), (1e200, 0, 1)):
+            with pytest.raises(DomainError):
+                cls(MinkowskiVec(*v))
+
+    @pytest.mark.parametrize("cls,field", [(LightConePoint, "u"), (HyperboloidPoint, "v")])
+    def test_overflowing_pairing_checked_at_unit_scale(self, cls, field):
+        # (1e200, 0, 1e200) is on the cone, and -1 is below 1e-400 of its
+        # squares, so it lies on the hyperboloid within the tolerance too.
+        u = getattr(cls(MinkowskiVec(1e200, 0, 1e200)), field)
+        assert (u.x, u.y, u.z) == (1e200, 0.0, 1e200)
+
+    def test_underflowing_squares_checked_at_unit_scale(self):
+        # Squares below the normal floats lose digits or vanish, so the
+        # pairing cannot tell (1e-160, 0, 1.00001e-160) from the cone.
+        u = LightConePoint(MinkowskiVec(3e-200, 4e-200, 5e-200)).u
+        assert (u.x, u.y, u.z) == (3e-200, 4e-200, 5e-200)
+        for v in ((1e-200, 0, 5e-200), (1e-160, 0, 1.00001e-160)):
+            with pytest.raises(DomainError):
+                LightConePoint(MinkowskiVec(*v))
         with pytest.raises(DomainError):
-            cls(MinkowskiVec(1e200, 0, 5e200))
+            HyperboloidPoint(MinkowskiVec(1e-200, 0, 1e-200))
 
 
 class TestBoundaryPoint:
@@ -296,6 +316,31 @@ class TestDistances:
         z = max(v1.v.z, v2.v.z)
         got = hyp_distance_hyperboloid(v1, v2)
         assert abs(got - want) <= 8 * U * (1.0 + z * z / want) * want
+
+    @settings(max_examples=300, deadline=None)
+    @given(re=st.floats(min_value=-2.0, max_value=2.0), im=st.floats(min_value=0.5, max_value=2.0),
+           log_d=st.floats(min_value=-9.0, max_value=1.5), vertical=st.booleans())
+    def test_crossratio_against_mpmath(self, re, im, log_d, vertical):
+        # Pairs at distance d = 10**log_d in [1e-9, 30], one above the other
+        # or side by side, against 2 asinh(|w1-w2| / (2 sqrt(y1 y2))) at 50
+        # digits.  Vertical pairs have exact endpoints, so only the handful
+        # of roundings of the cross-ratio and its log remain: 8 U.  Side by
+        # side, the endpoints' centre c = (|w1|^2 - |w2|^2)/(2 (re1 - re2))
+        # cancels: it is off by about U*s/(im*d), s the larger |w|^2, and
+        # moves d by the square of that over im, relative; the bound allows
+        # 2 of that term, which was below 1 in 10 000 samples.
+        d = 10.0**log_d
+        w1 = UhpPoint(re, im)
+        w2 = UhpPoint(re, im * math.exp(d)) if vertical else UhpPoint(re + 2 * im * math.sinh(d / 2), im)
+        with mpmath.workdps(50):
+            x1, y1, x2, y2 = (mpmath.mpf(v) for v in (w1.re, w1.im, w2.re, w2.im))
+            dist = mpmath.sqrt((x1 - x2) ** 2 + (y1 - y2) ** 2)
+            want = float(2 * mpmath.asinh(dist / (2 * mpmath.sqrt(y1 * y2))))
+        bound = 8 * U
+        if not vertical:
+            s = max(w1.re**2, w2.re**2) + im * im
+            bound += 2 * (U * s / (im * im * want)) ** 2
+        assert abs(hyp_distance_crossratio(w1, w2) - want) <= bound * want
 
     def test_crossratio_matches_hyperboloid(self):
         rng = np.random.default_rng(19)
