@@ -18,15 +18,14 @@ import sys
 
 from .errors import GeometryError, NotSameOrbitError, OffQuadricError
 from .grassmann import Matrix2x4, minors, reconstruct
-from .horocycles import horocycle_to_circle
 from .measurements import (
     ConcyclicConfig,
     bitangent_direct,
     lambda_minkowski,
     measure_all,
 )
-from .models import LightConePoint, MinkowskiVec, lightcone_to_boundary
 from .relations import (
+    DEFAULT_TOL,
     PAIRS,
     SixTuple,
     cross_ratio_points,
@@ -35,8 +34,6 @@ from .relations import (
     residual,
 )
 from .svg import render_svg
-
-DEFAULT_TOL = 1e-10
 
 EXIT_OK = 0
 EXIT_RELATION_FAILURE = 1
@@ -60,25 +57,22 @@ class DocumentError(ValueError):
 def _load_json(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            # Integers read as floats, one beyond the float range as inf, and
+            # -0 as 0.0, the float of int("-0").
+            return json.load(fh, parse_int=lambda text: float(text) + 0.0)
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    # A JSONDecodeError, bytes that are not UTF-8, or nesting too deep to decode.
+    except (ValueError, RecursionError) as exc:
         raise DocumentError(f"{path} is not valid JSON: {exc}") from exc
 
 
 def _scalar(obj, what: str):
-    """A JSON scalar: a number, or [re, im] for a complex value."""
-    if isinstance(obj, bool):
-        raise DocumentError(f"{what}: expected a number, got {obj!r}")
-    if isinstance(obj, (int, float)):
-        return float(obj)
-    if (
-        isinstance(obj, list)
-        and len(obj) == 2
-        and all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in obj)
-    ):
-        return complex(float(obj[0]), float(obj[1]))
+    """A JSON number (read as a float, never a bool), or [re, im] for a complex value."""
+    if type(obj) is float:
+        return obj
+    if isinstance(obj, list) and len(obj) == 2 and type(obj[0]) is type(obj[1]) is float:
+        return complex(*obj)
     raise DocumentError(f"{what}: expected a number or [re, im], got {obj!r}")
 
 
@@ -89,82 +83,57 @@ def _real(obj, what: str) -> float:
     return value
 
 
+def _array(obj, shape: tuple[int, ...], what: str, scalar=_scalar) -> list:
+    """obj as nested lists of the given shape, each entry read by scalar."""
+    n, *inner = shape
+    if not isinstance(obj, list) or len(obj) != n:
+        raise DocumentError(f"{what}: expected an array of {n}, got {obj!r}")
+    if inner:
+        return [_array(v, inner, what, scalar) for v in obj]
+    return [scalar(v, what) for v in obj]
+
+
 def _json_scalar(value):
     if isinstance(value, complex):
         return [value.real, value.imag]
     return value
 
 
-def _parse_sixtuple(doc, path: str) -> SixTuple:
-    if not isinstance(doc, list) or len(doc) != 6:
-        raise DocumentError(
-            f"{path}: expected a JSON array of 6 scalars in index order 12,13,14,23,24,34"
-        )
-    return SixTuple(*(_scalar(v, f"{path} entry {k}") for k, v in enumerate(doc)))
+def _read_sixtuple(path: str) -> SixTuple:
+    doc = _load_json(path)
+    return SixTuple(*_array(doc, (6,), f"{path}: six-tuple (order 12,13,14,23,24,34)"))
 
 
-def _parse_matrix(payload, path: str) -> Matrix2x4:
-    if not isinstance(payload, dict) or "rows" not in payload:
+def _payload(path: str, kinds: tuple[str, ...]) -> tuple[str, dict]:
+    """The kind and payload of a document holding exactly one payload object, one of kinds."""
+    doc = _load_json(path)
+    found = [k for k in ("concyclic", "lightcone", "matrix") if isinstance(doc, dict) and k in doc]
+    if len(found) != 1 or found[0] not in kinds or not isinstance(doc[found[0]], dict):
+        raise DocumentError(f"{path}: expected one payload, {' or '.join(kinds)}; got {found}")
+    return found[0], doc[found[0]]
+
+
+def _read_config(path: str) -> ConcyclicConfig:
+    kind, payload = _payload(path, ("concyclic", "lightcone"))
+    if kind == "lightcone":
+        if "u" not in payload:
+            raise DocumentError(f"{path}: lightcone payload needs a 'u' field")
+        return ConcyclicConfig.from_lightcone(_array(payload["u"], (4, 3), f"{path} u", _real))
+    if set(payload) != {"alpha", "radii"}:
+        raise DocumentError(f"{path}: concyclic payload needs 'alpha' and 'radii' only")
+    return ConcyclicConfig(_array(payload["alpha"], (4,), f"{path} alpha", _real),
+                           _array(payload["radii"], (4,), f"{path} radii", _real))
+
+
+def _read_matrix(path: str) -> Matrix2x4:
+    _, payload = _payload(path, ("matrix",))
+    if "rows" not in payload:
         raise DocumentError(f"{path}: matrix payload needs a 'rows' field")
-    rows = payload["rows"]
-    if not (isinstance(rows, list) and len(rows) == 2
-            and all(isinstance(r, list) and len(r) == 4 for r in rows)):
-        raise DocumentError(f"{path}: 'rows' must be two lists of four entries")
     field = payload.get("field", "real")
     if field not in ("real", "complex"):
         raise DocumentError(f"{path}: field must be 'real' or 'complex', got {field!r}")
-    entries = [[_scalar(v, f"{path} matrix entry") for v in row] for row in rows]
-    if field == "real":
-        for row in entries:
-            for v in row:
-                if isinstance(v, complex):
-                    raise DocumentError(f"{path}: complex entry in a real matrix")
-    return Matrix2x4(entries)
-
-
-def _parse_config(doc, path: str, kinds=("concyclic", "lightcone", "matrix")):
-    if not isinstance(doc, dict):
-        raise DocumentError(f"{path}: expected a JSON object with one payload")
-    present = [k for k in ("concyclic", "lightcone", "matrix") if k in doc]
-    if len(present) != 1:
-        raise DocumentError(
-            f"{path}: exactly one of concyclic/lightcone/matrix required, got {present}"
-        )
-    kind = present[0]
-    if kind not in kinds:
-        raise DocumentError(f"{path}: payload {kind!r} not accepted by this command")
-    payload = doc[kind]
-    if kind == "matrix":
-        return _parse_matrix(payload, path)
-    if kind == "concyclic":
-        if not isinstance(payload, dict) or set(payload) != {"alpha", "radii"}:
-            raise DocumentError(f"{path}: concyclic payload needs 'alpha' and 'radii'")
-        alpha = payload["alpha"]
-        radii = payload["radii"]
-        if not (isinstance(alpha, list) and len(alpha) == 4
-                and isinstance(radii, list) and len(radii) == 4):
-            raise DocumentError(f"{path}: alpha and radii must be arrays of 4 numbers")
-        return ConcyclicConfig(
-            tuple(_real(v, f"{path} alpha") for v in alpha),
-            tuple(_real(v, f"{path} radius") for v in radii),
-        )
-    # lightcone: four (x, y, z) vectors; tangency angle and Euclidean radius
-    # are read off each light-cone point.
-    if not isinstance(payload, dict) or "u" not in payload:
-        raise DocumentError(f"{path}: lightcone payload needs a 'u' field")
-    vectors = payload["u"]
-    if not (isinstance(vectors, list) and len(vectors) == 4
-            and all(isinstance(v, list) and len(v) == 3 for v in vectors)):
-        raise DocumentError(f"{path}: 'u' must be four [x, y, z] vectors")
-    alphas, radii = [], []
-    for vec in vectors:
-        point = LightConePoint(MinkowskiVec(*(_real(v, f"{path} u component") for v in vec)))
-        alphas.append(lightcone_to_boundary(point).theta / 2.0)
-        radii.append(horocycle_to_circle(point).radius)
-    # A tangency at boundary angle 0 in last position is the wrap of 2*pi.
-    if alphas[3] == 0.0:
-        alphas[3] = math.pi
-    return ConcyclicConfig(tuple(alphas), tuple(radii))
+    scalar = _real if field == "real" else _scalar
+    return Matrix2x4(_array(payload["rows"], (2, 4), f"{path} matrix rows", scalar))
 
 
 def _max_rel_dev(lhs, rhs) -> float:
@@ -221,7 +190,7 @@ def _print_measure_table(report: dict) -> None:
 
 
 def cmd_measure(args) -> int:
-    cfg = _parse_config(_load_json(args.config), args.config, kinds=("concyclic", "lightcone"))
+    cfg = _read_config(args.config)
     report = build_report(cfg, args.tol)
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
@@ -231,8 +200,7 @@ def cmd_measure(args) -> int:
 
 
 def cmd_rescale(args) -> int:
-    a = _parse_sixtuple(_load_json(args.file_a), args.file_a)
-    b = _parse_sixtuple(_load_json(args.file_b), args.file_b)
+    a, b = _read_sixtuple(args.file_a), _read_sixtuple(args.file_b)
     q = rescaling_solve(a, b, tol=args.tol)
     qs = (None, *q)
     verification = {}
@@ -259,8 +227,7 @@ def cmd_rescale(args) -> int:
 
 
 def cmd_plucker_minors(args) -> int:
-    matrix = _parse_config(_load_json(args.file), args.file, kinds=("matrix",))
-    p = minors(matrix)
+    p = minors(_read_matrix(args.file))
     doc = {
         "minors": [_json_scalar(v) for v in p],
         "residual": _json_scalar(residual(p)),
@@ -275,7 +242,7 @@ def cmd_plucker_minors(args) -> int:
 
 
 def cmd_plucker_reconstruct(args) -> int:
-    p = _parse_sixtuple(_load_json(args.file), args.file)
+    p = _read_sixtuple(args.file)
     matrix = reconstruct(p, tol=args.tol)
     rows = [[_json_scalar(v) for v in row] for row in matrix.rows.tolist()]
     check = minors(matrix)
@@ -292,19 +259,14 @@ def cmd_plucker_reconstruct(args) -> int:
 
 
 def cmd_render(args) -> int:
-    cfg = _parse_config(_load_json(args.config), args.config, kinds=("concyclic", "lightcone"))
-    document = render_svg(cfg)
+    document = render_svg(_read_config(args.config))
     with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(document)
     return EXIT_OK
 
 
 def cmd_crossratio(args) -> int:
-    doc = _load_json(args.file)
-    if not (isinstance(doc, list) and len(doc) == 4
-            and all(isinstance(p, list) and len(p) == 2 for p in doc)):
-        raise DocumentError(f"{args.file}: expected four [x, y] projective points")
-    points = [tuple(_scalar(v, f"{args.file} component") for v in p) for p in doc]
+    points = _array(_load_json(args.file), (4, 2), f"{args.file}: four [x, y] points")
     value = cross_ratio_points(*points)
     if args.json:
         print(json.dumps({"cross_ratio": _json_scalar(value)}))
@@ -362,21 +324,14 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DocumentError as exc:
+    except (DocumentError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except NotSameOrbitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if exc.invariant_a is not None:
-            print(
-                f"invariants: {exc.invariant_a} vs {exc.invariant_b}", file=sys.stderr
-            )
-        return EXIT_ORBIT
-    except OffQuadricError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ORBIT
-    except GeometryError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, NotSameOrbitError) and exc.invariant_a is not None:
+            print(f"invariants: {exc.invariant_a} vs {exc.invariant_b}", file=sys.stderr)
+        if isinstance(exc, DocumentError):
+            return EXIT_PARSE
+        if isinstance(exc, (NotSameOrbitError, OffQuadricError)):
+            return EXIT_ORBIT
         return EXIT_INVALID_CONFIG
 
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OffQuadricError
-from .relations import PAIRS, SixTuple, det2, is_on_quadric, relative_residual, residual
+from .relations import DEFAULT_TOL, PAIRS, SixTuple, det2, is_on_quadric, relative_residual, residual
 
 @dataclass(frozen=True)
 class Matrix2x4:
@@ -45,7 +45,7 @@ def minors(m: Matrix2x4) -> SixTuple:
                     det2(c2, c3), det2(c2, c4), det2(c3, c4))
 
 
-def reconstruct(p: SixTuple, tol: float = 1e-10) -> Matrix2x4:
+def reconstruct(p: SixTuple, tol: float = DEFAULT_TOL) -> Matrix2x4:
     """A matrix whose minors reproduce an on-quadric six-tuple.
 
     Pivots on the largest-magnitude entry P_ij (ties by index order) and

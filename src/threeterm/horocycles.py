@@ -50,8 +50,8 @@ def horocycle_from_tangency(theta: BoundaryPoint, r: float) -> LightConePoint:
     if not 0.0 < r < 1.0:
         raise DomainError(f"tangent circle radius must lie in (0, 1): {r}")
     z = (1.0 / r - 1.0) / SQRT2
-    cx, cy = theta.xy()
-    x, y = z * cx, z * cy
+    c = theta.as_complex()
+    x, y = z * c.real, z * c.imag
     # The third component is hypot(x, y) already, so LightConePoint keeps this vector.
     return LightConePoint(MinkowskiVec(x, y, math.hypot(x, y)))
 

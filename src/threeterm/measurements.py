@@ -26,12 +26,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
 
 from .errors import ConfigurationError
-from .horocycles import horocycle_from_tangency, lambda_length
-from .models import BoundaryPoint, LightConePoint
-from .relations import SixTuple, TorusElement, torus_apply
+from .horocycles import horocycle_from_tangency, horocycle_to_circle, lambda_length
+from .models import BoundaryPoint, LightConePoint, MinkowskiVec, lightcone_to_boundary
+from .relations import _PAIRS0, SixTuple, TorusElement, torus_apply
 
 # Circles must clear each other by this much to count as disjoint.
 DISJOINT_MARGIN = 1e-9
@@ -55,34 +54,52 @@ class ConcyclicConfig:
     r: tuple[float, float, float, float]
 
     def __post_init__(self):
-        alpha = tuple(float(v) for v in self.alpha)
-        r = tuple(float(v) for v in self.r)
+        alpha, r = tuple(map(float, self.alpha)), tuple(map(float, self.r))
         if len(alpha) != 4 or len(r) != 4:
             raise ConfigurationError("expected four half-angles and four radii")
-        if not all(math.isfinite(v) for v in alpha + r):
+        if not all(map(math.isfinite, alpha + r)):
             raise ConfigurationError("non-finite configuration values")
-        if not (0.0 <= alpha[0] and alpha[3] <= math.pi):
+        a1, a2, a3, a4 = alpha
+        if not (0.0 <= a1 and a4 <= math.pi):
             raise ConfigurationError(f"half-angles must lie in [0, pi]: {alpha}")
-        if not (alpha[0] < alpha[1] < alpha[2] < alpha[3]):
+        if not (a1 < a2 < a3 < a4):
             raise ConfigurationError(f"half-angles must increase strictly: {alpha}")
-        if not all(0.0 < v < 1.0 for v in r):
+        if not (0.0 < min(r) and max(r) < 1.0):
             raise ConfigurationError(f"radii must lie in (0, 1): {r}")
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "r", r)
-        points = tuple((math.cos(2.0 * a), math.sin(2.0 * a)) for a in alpha)
-        centers = tuple(
-            ((1.0 - rk) * x, (1.0 - rk) * y) for (x, y), rk in zip(points, r)
-        )
+        points, centers = [], []
+        for a, rk in zip(alpha, r):
+            x, y = math.cos(2.0 * a), math.sin(2.0 * a)
+            points.append((x, y))
+            centers.append(((1.0 - rk) * x, (1.0 - rk) * y))
         # Not fields: they take no part in equality or hashing.
-        object.__setattr__(self, "tangency_points", points)
-        object.__setattr__(self, "centers", centers)
-        for i, j in combinations(range(4), 2):
-            ci, cj = centers[i], centers[j]
-            gap = math.hypot(ci[0] - cj[0], ci[1] - cj[1]) - (r[i] + r[j])
+        object.__setattr__(self, "tangency_points", tuple(points))
+        object.__setattr__(self, "centers", tuple(centers))
+        for i, j in _PAIRS0:
+            (xi, yi), (xj, yj) = centers[i], centers[j]
+            gap = math.hypot(xi - xj, yi - yj) - (r[i] + r[j])
             if gap <= DISJOINT_MARGIN:
                 raise ConfigurationError(
                     f"circles {i + 1} and {j + 1} overlap (gap {gap:.3e})"
                 )
+
+    @classmethod
+    def from_lightcone(cls, vectors) -> ConcyclicConfig:
+        """The configuration of four horocycles given as light-cone vectors (x, y, z).
+
+        Each half-angle is half the boundary angle of its vector and each
+        radius that of its tangent circle.  Boundary angle 0 in last place is
+        the wrap of 2*pi, so its half-angle is pi.
+        """
+        alpha, r = [], []
+        for vec in vectors:
+            point = LightConePoint(MinkowskiVec(*vec))
+            alpha.append(lightcone_to_boundary(point).theta / 2.0)
+            r.append(horocycle_to_circle(point).radius)
+        if alpha[3] == 0.0:
+            alpha[3] = math.pi
+        return cls(alpha, r)
 
     @cached_property
     def _horocycles(self) -> tuple[LightConePoint, ...]:

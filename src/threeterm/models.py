@@ -10,16 +10,12 @@ from __future__ import annotations
 
 import cmath
 import math
-import sys
 from dataclasses import dataclass
 
 from .errors import DegenerateError, DomainError
-from .relations import cross_ratio_points
+from .relations import _HUGE, _TINY, cross_ratio_points
 
 TWO_PI = 2.0 * math.pi
-
-# The normal floats.
-_TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 # Type invariants (<u,u>=0, <v,v>=-1) are enforced at construction to this
 # tolerance, relative to the largest squared component (see _pairing_miss);
@@ -70,6 +66,23 @@ def _pairing_miss(v: MinkowskiVec, target: float) -> float:
     return abs(x * x + y * y - z * z - target / m / m)
 
 
+def _on_sheet(v: MinkowskiVec, target: float, sheet: str, name: str) -> MinkowskiVec:
+    """v checked for z > 0 and <v,v> = target, with z snapped to sqrt(x^2 + y^2 - target).
+
+    The snap keeps the boundary angle of a light-cone vector untouched, and
+    on the hyperboloid it stands in for the pairing, which cancels past z of
+    about 1e4.  A vector (0, 0, z) misses the cone by 1, so a light-cone
+    point has x or y nonzero.  A new vector is built only when z changes.
+    """
+    if v.z <= 0.0:
+        raise DomainError(f"not on the {sheet}: {v}")
+    miss = _pairing_miss(v, target)
+    if not miss <= CONSTRUCTION_TOL:
+        raise DomainError(f"<{name},{name}> misses {target:g} by {miss:.3e} of the largest square: {v}")
+    z = math.hypot(-target, v.x, v.y)
+    return v if z == v.z else MinkowskiVec(v.x, v.y, z)
+
+
 @dataclass(frozen=True)
 class HyperboloidPoint:
     """A point on the upper hyperboloid sheet: <v,v> = -1, z > 0."""
@@ -77,17 +90,7 @@ class HyperboloidPoint:
     v: MinkowskiVec
 
     def __post_init__(self):
-        v = self.v
-        if v.z <= 0.0:
-            raise DomainError(f"not on the upper hyperboloid sheet: {v}")
-        miss = _pairing_miss(v, -1.0)
-        if not miss <= CONSTRUCTION_TOL:
-            raise DomainError(f"<v,v> misses -1 by {miss:.3e} of the largest square: {v}")
-        # Snap z to sqrt(1+x^2+y^2), as LightConePoint snaps z to hypot(x, y);
-        # past z of about 1e4 the pairing cancels, so 1/sqrt(-pairing) would fail.
-        z = math.hypot(1.0, v.x, v.y)
-        if z != v.z:
-            object.__setattr__(self, "v", MinkowskiVec(v.x, v.y, z))
+        object.__setattr__(self, "v", _on_sheet(self.v, -1.0, "upper hyperboloid sheet", "v"))
 
 
 @dataclass(frozen=True)
@@ -97,18 +100,7 @@ class LightConePoint:
     u: MinkowskiVec
 
     def __post_init__(self):
-        u = self.u
-        if u.z <= 0.0:
-            raise DomainError(f"not on the positive light cone: {u}")
-        miss = _pairing_miss(u, 0.0)
-        if not miss <= CONSTRUCTION_TOL:
-            raise DomainError(f"<u,u> misses 0 by {miss:.3e} of the largest square: {u}")
-        rho = math.hypot(u.x, u.y)
-        if rho == 0.0:
-            raise DomainError(f"degenerate light-cone vector: {u}")
-        # Snap z to sqrt(x^2+y^2); keeps the boundary angle untouched.
-        if rho != u.z:
-            object.__setattr__(self, "u", MinkowskiVec(u.x, u.y, rho))
+        object.__setattr__(self, "u", _on_sheet(self.u, 0.0, "positive light cone", "u"))
 
 
 @dataclass(frozen=True)
@@ -147,9 +139,6 @@ class BoundaryPoint:
             theta = 0.0
         object.__setattr__(self, "theta", theta)
 
-    def xy(self) -> tuple[float, float]:
-        return (math.cos(self.theta), math.sin(self.theta))
-
     def as_complex(self) -> complex:
         return complex(math.cos(self.theta), math.sin(self.theta))
 
@@ -185,10 +174,6 @@ class UhpPoint:
     @property
     def is_ideal(self) -> bool:
         return self.at_infinity or self.im == 0.0
-
-    @property
-    def is_interior(self) -> bool:
-        return not self.at_infinity and self.im > 0.0
 
     def as_complex(self) -> complex:
         if self.at_infinity:
@@ -244,13 +229,11 @@ def cayley_disk_to_uhp(p) -> UhpPoint:
     distinguished point at infinity.
     """
     z = p.as_complex()
-    if isinstance(p, BoundaryPoint):
-        if abs(z - 1.0) < 1e-15:
-            return UhpPoint.infinity()
-        image = 1j * (1.0 + z) / (1.0 - z)
-        return UhpPoint(image.real, 0.0)
+    ideal = isinstance(p, BoundaryPoint)
+    if ideal and abs(z - 1.0) < 1e-15:
+        return UhpPoint.infinity()
     image = 1j * (1.0 + z) / (1.0 - z)
-    return UhpPoint(image.real, image.imag)
+    return UhpPoint(image.real, 0.0 if ideal else image.imag)
 
 
 def geodesic_ideal_endpoints(w1: UhpPoint, w2: UhpPoint) -> tuple[UhpPoint, UhpPoint]:
@@ -259,7 +242,7 @@ def geodesic_ideal_endpoints(w1: UhpPoint, w2: UhpPoint) -> tuple[UhpPoint, UhpP
     The first endpoint returned is the one beyond w1, the second beyond w2,
     so the order along the geodesic is (first, w1, w2, second).
     """
-    if not (w1.is_interior and w2.is_interior):
+    if w1.is_ideal or w2.is_ideal:
         raise DomainError("geodesic endpoints require interior points")
     if w1 == w2:
         raise DegenerateError(f"coincident points: {w1}")

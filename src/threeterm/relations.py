@@ -24,6 +24,16 @@ Scalar = float | complex
 
 #: Index pairs in storage order.
 PAIRS = ((1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4))
+# The same pairs, 0-based.
+_PAIRS0 = tuple((i - 1, j - 1) for i, j in PAIRS)
+
+# Default tolerance of the quadric and orbit tests, relative to the largest
+# monomial, invariant or entry.  It is not a rounding bound: rounding gives a
+# relative residual of about 1e-15, since the three products and two sums
+# err by at most gamma_3 = 3u/(1 - 3u) times the sum of the three monomials
+# (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).  It is
+# a margin for inputs given to about ten significant digits.
+DEFAULT_TOL = 1e-10
 
 # The normal floats: a product in this range carries its full precision.
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
@@ -180,7 +190,7 @@ def _principal_sqrt(x: Scalar) -> Scalar:
     return math.sqrt(x)
 
 
-def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = 1e-10) -> TorusElement:
+def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> TorusElement:
     """Find q with q_i*q_j*a_ij = b_ij, or prove the tuples are in different orbits.
 
     Both tuples must be nonvanishing and on the quadric within tol.  The

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .measurements import ConcyclicConfig
-from .relations import PAIRS
+from .relations import _PAIRS0, PAIRS
 
 # Unit circle maps to a 1000x1000 viewport: radius 480 px centered at
 # (500, 500), y axis flipped to mathematical orientation.
@@ -27,9 +27,6 @@ CENTER = 500.0
 # 1e12, nearly coincident ones a chord shorter than about |det|.  That is
 # below 5e-13, or 2.4e-10 px, far under the 1e-6 px the SVG prints.
 _DIAMETER_TOL = 1e-12
-
-# 0-based index pairs in storage order.
-_PAIRS0 = tuple((i - 1, j - 1) for i, j in PAIRS)
 
 
 def _segment(cls: str, label: str, end: str) -> str:

@@ -105,6 +105,15 @@ class TestExitCodes:
         code, _, _ = run(capsys, "measure", str(DATA / "does_not_exist.json"))
         assert code == 2
 
+    @pytest.mark.parametrize("content", [b"\xff\xfe[1, 2]", b"[" * 200000 + b"]" * 200000],
+                             ids=["not_utf8", "too_deep"])
+    def test_undecodable_document(self, tmp_path, capsys, content):
+        path = tmp_path / "doc.json"
+        path.write_bytes(content)
+        code, out, err = run(capsys, "crossratio", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
     @pytest.mark.parametrize(
         "argv,expected",
         [
@@ -128,6 +137,22 @@ class TestExitCodes:
         assert code == expected
         assert out == ""
         assert err.startswith("error:")
+
+    def test_integer_beyond_float_range(self, tmp_path, capsys):
+        # Read as inf, like Infinity, and rejected as non-finite.
+        path = tmp_path / "big.json"
+        path.write_text("[1" + "0" * 400 + ", 2, 1, 1, 2, 1]", encoding="utf-8")
+        code, out, err = run(capsys, "plucker", "reconstruct", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: six-tuple has a non-finite entry")
+
+    def test_minus_zero_integer_reads_as_zero(self, tmp_path, capsys):
+        # -0 is the integer 0; only the float -0.0 carries a sign.
+        path = tmp_path / "m.json"
+        path.write_text('{"matrix": {"rows": [[-0, 0, 1, 2], [1, 1, 3, 5]]}}', encoding="utf-8")
+        code, out, _ = run(capsys, "plucker", "minors", str(path), "--json")
+        assert code == 0
+        assert math.copysign(1.0, json.loads(out)["minors"][0]) == 1.0
 
     @pytest.mark.parametrize(
         "argv,message",
@@ -287,6 +312,63 @@ class TestCrossratio:
         )
         assert code == 0
         assert json.loads(out)["cross_ratio"] == -0.4
+
+
+_SQUARE = [math.sqrt(2.0), 2.0, math.sqrt(2.0), math.sqrt(2.0), 2.0, math.sqrt(2.0)]
+_CONE = [[1, 0, 1], [0, 1, 1], [-1, 0, 1], [0, -1, 1]]
+_ALPHA, _RADII = [0.1, 0.5, 1.0, 2.0], [0.1, 0.1, 0.1, 0.1]
+_ROWS = [[1, 0, 2, 3], [0, 1, 5, 7]]
+_POINTS = [[0, 1], [1, 1], [1, 0], [2.5, 1]]
+
+
+def _concyclic(alpha=_ALPHA, radii=_RADII):
+    return {"concyclic": {"alpha": alpha, "radii": radii}}
+
+
+# Per document kind: wrong length, wrong nesting, a bool, and a complex value
+# where a real is required (six-tuples and points may be complex).
+MALFORMED = {
+    "sixtuple": (("plucker", "reconstruct", "{}"), {
+        "length": _SQUARE[:5],
+        "nesting": [_SQUARE[:3], *_SQUARE[1:]],
+        "bool": [True, *_SQUARE[1:]],
+    }),
+    "concyclic": (("measure", "{}"), {
+        "length": _concyclic(alpha=_ALPHA[:3]),
+        "nesting": _concyclic(alpha=[[0.1], 0.5, 1.0, 2.0]),
+        "bool": _concyclic(radii=[0.1, True, 0.1, 0.1]),
+        "complex": _concyclic(alpha=[[0.1, 0.0], 0.5, 1.0, 2.0]),
+    }),
+    "lightcone": (("render", "{}", "--out", "{out}"), {
+        "length": {"lightcone": {"u": _CONE[:3]}},
+        "nesting": {"lightcone": {"u": sum(_CONE, [])}},
+        "bool": {"lightcone": {"u": [[True, 0, 1], *_CONE[1:]]}},
+        "complex": {"lightcone": {"u": [[[1, 0], 0, 1], *_CONE[1:]]}},
+    }),
+    "matrix": (("plucker", "minors", "{}"), {
+        "length": {"matrix": {"rows": [row[:3] for row in _ROWS]}},
+        "nesting": {"matrix": {"rows": sum(_ROWS, [])}},
+        "bool": {"matrix": {"rows": [[1, 0, 2, 3], [0, True, 5, 7]]}},
+        "complex": {"matrix": {"rows": [[1, 0, [2, 1], 3], [0, 1, 5, 7]], "field": "real"}},
+    }),
+    "points": (("crossratio", "{}", "--json"), {
+        "length": _POINTS[:3],
+        "nesting": sum(_POINTS, []),
+        "bool": [*_POINTS[:3], [2.5, True]],
+    }),
+}
+
+
+@pytest.mark.parametrize("kind,case", [(k, c) for k, (_, docs) in MALFORMED.items() for c in docs])
+def test_malformed_shape_exits_2(tmp_path, capsys, kind, case):
+    argv, docs = MALFORMED[kind]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(docs[case]), encoding="utf-8")
+    out_svg = tmp_path / "out.svg"
+    code, out, err = run(capsys, *(a.format(str(path), out=out_svg) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert not out_svg.exists()
 
 
 def _parse_circles(svg: str):

@@ -2,9 +2,9 @@
 
 `cli.main` runs in-process on every `tests/data/*.json` document for each
 subcommand, with and without --json (and `measure` with a --tol that fails
-it), and `rescale` on every ordered pair of the six-tuple fixtures.  `tests/cli_contract.json` stores, per run, the exit
-code and the SHA-256 of stdout, of the rendered SVG, and of stderr for exits
-1, 3 and 4.  For exit 2 only the shape of the output is fixed: stderr starts
+it), and `rescale` on every ordered pair of the six-tuple fixtures.
+`tests/cli_contract.json` stores, per run, the exit code and the SHA-256 of
+stdout, of the rendered SVG, and of stderr for exits 1, 3 and 4.  For exit 2 only the shape of the output is fixed: stderr starts
 with "error: " and stdout is empty, so the wording of document errors may
 change.
 

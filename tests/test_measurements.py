@@ -72,6 +72,24 @@ class TestConfigValidation:
             ConcyclicConfig(alpha, (0.5, 0.05, 0.5, 0.05))
 
 
+class TestFromLightcone:
+    @settings(max_examples=300, deadline=None)
+    @given(cfg=configs(), first=st.sampled_from([None, 0.0]), last=st.sampled_from([None, math.pi]))
+    def test_own_horocycles_give_back_the_config(self, cfg, first, last):
+        # first = 0 and last = pi put tangencies at boundary angles 0 and 2*pi,
+        # the wrap that reads back as pi.
+        alpha = (cfg.alpha[0] if first is None else first, *cfg.alpha[1:3],
+                 cfg.alpha[3] if last is None else last)
+        try:
+            cfg = ConcyclicConfig(alpha, cfg.r)
+        except ConfigurationError:
+            assume(False)
+        vectors = [(u.x, u.y, u.z) for u in (cfg.horocycle(i).u for i in range(1, 5))]
+        back = ConcyclicConfig.from_lightcone(vectors)
+        for got, want in zip(back.alpha + back.r, cfg.alpha + cfg.r):
+            assert abs(got - want) <= 4 * math.ulp(want)
+
+
 class TestChord:
     def test_diameter(self):
         cfg = ConcyclicConfig((0.1, 0.2, 0.1 + math.pi / 2, 2.9), (0.01,) * 4)

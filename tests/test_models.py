@@ -141,7 +141,14 @@ class TestLightCone:
     def test_boundary_projection(self):
         b = lightcone_to_boundary(LightConePoint(MinkowskiVec(3, 4, 5)))
         assert abs(b.theta - math.atan2(4, 3)) < 1e-15
-        assert abs(b.xy()[0] - 0.6) < 1e-15 and abs(b.xy()[1] - 0.8) < 1e-15
+        assert abs(b.as_complex().real - 0.6) < 1e-15 and abs(b.as_complex().imag - 0.8) < 1e-15
+
+    @pytest.mark.parametrize("z", [1.0, 1e-320, 1e300])
+    def test_axis_vector_rejected(self, z):
+        # (0, 0, z) misses the cone by exactly 1, whether its square is
+        # normal, underflows or overflows.
+        with pytest.raises(DomainError, match="misses 0 by 1.000e[+]00"):
+            LightConePoint(MinkowskiVec(0.0, 0.0, z))
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(13)
