@@ -28,10 +28,12 @@ from .relations import (
     DEFAULT_TOL,
     PAIRS,
     SixTuple,
+    TorusElement,
     cross_ratio_points,
     relative_residual,
     rescaling_solve,
     residual,
+    torus_apply,
 )
 from .svg import render_svg
 
@@ -147,18 +149,15 @@ def build_report(cfg: ConcyclicConfig, tol: float) -> dict:
     Residuals are relative to the largest quadric monomial; identity
     deviations are entrywise relative, each family checked against an
     independent computation path (direct bitangent oracle, light-cone
-    lambda, determinant vs chord).
+    lambda carried to t by the torus element sqrt(2 r_i), minors vs chord).
     """
     table = measure_all(cfg)
     families = {"d": table.d, "t": table.t, "lambda": table.lam, "P": table.p}
     residuals = {name: relative_residual(t) for name, t in families.items()}
-    s1, s2, s3, s4 = (math.sqrt(2.0 * v) for v in cfg.r)
-    scales = (s1 * s2, s1 * s3, s1 * s4, s2 * s3, s2 * s4, s3 * s4)
+    lambda_to_t = TorusElement(*(math.sqrt(2.0 * v) for v in cfg.r))
     identities = {
-        "chord_bitangent": _max_rel_dev(table.t, [bitangent_direct(cfg, i, j) for i, j in PAIRS]),
-        "bitangent_lambda": _max_rel_dev(
-            table.t, [lambda_minkowski(cfg, i, j) * s for (i, j), s in zip(PAIRS, scales)]
-        ),
+        "chord_bitangent": _max_rel_dev(table.t, bitangent_direct(cfg)),
+        "bitangent_lambda": _max_rel_dev(table.t, torus_apply(lambda_to_t, lambda_minkowski(cfg))),
         "chord_plucker": _max_rel_dev(table.d, [2.0 * v for v in table.p]),
     }
     passed = {name: value <= tol for name, value in residuals.items()}

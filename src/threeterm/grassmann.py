@@ -8,7 +8,7 @@ permutation relabels them with the antisymmetric sign P_ji = -P_ij.
 
 numpy only holds a matrix's rows (read-only, floats unless complex) and
 applies the column actions; minors() and reconstruct() work on the eight
-entries as Python floats or complex numbers.
+entries as Python floats or complex numbers; minors() by relations._minors.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OffQuadricError
-from .relations import DEFAULT_TOL, PAIRS, SixTuple, det2, is_on_quadric, relative_residual, residual
+from .relations import DEFAULT_TOL, PAIRS, SixTuple, _minors, is_on_quadric, relative_residual, residual
 
 @dataclass(frozen=True)
 class Matrix2x4:
@@ -40,9 +40,7 @@ class Matrix2x4:
 
 def minors(m: Matrix2x4) -> SixTuple:
     """The six minors P_ij = x_i*y_j - x_j*y_i, in index order 12,13,14,23,24,34."""
-    c1, c2, c3, c4 = zip(*m.rows.tolist())
-    return SixTuple(det2(c1, c2), det2(c1, c3), det2(c1, c4),
-                    det2(c2, c3), det2(c2, c4), det2(c3, c4))
+    return SixTuple(*_minors(*zip(*m.rows.tolist())))
 
 
 def reconstruct(p: SixTuple, tol: float = DEFAULT_TOL) -> Matrix2x4:

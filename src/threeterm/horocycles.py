@@ -60,7 +60,7 @@ def lambda_length(h1: LightConePoint, h2: LightConePoint) -> float:
     """Lambda length sqrt(-<u1, u2>) between two horocycles.
 
     Horocycles on a common light-cone ray have pairing zero and no lambda
-    length; the threshold scales with z1*z2 so it is invariant under
+    length; the threshold is proportional to z1*z2 so it is invariant under
     rescaling either representative.
     """
     u1, u2 = h1.u, h2.u

@@ -13,9 +13,9 @@ connected entrywise by
 
 so each is a torus rescaling of the others, and measure_all() builds them
 that way: the chords d once, t as the torus image of d, lambda from t.  The
-determinants P are computed from the half-angles and serve as a check of
-d = 2P; the bitangent and lambda oracles below (from the circle centres and
-from the light-cone pairing of the horocycles) take independent paths.
+determinants P, the minors of the half-angle columns, check d = 2P.  The
+oracles bitangent_direct and lambda_minkowski return whole families by
+independent paths (circle centres, light-cone pairings of the horocycles).
 
 A configuration computes its tangency points and centres once, at
 construction, and its four horocycles once, on first use.
@@ -30,15 +30,10 @@ from functools import cached_property
 from .errors import ConfigurationError
 from .horocycles import horocycle_from_tangency, horocycle_to_circle, lambda_length
 from .models import BoundaryPoint, LightConePoint, MinkowskiVec, lightcone_to_boundary
-from .relations import _PAIRS0, SixTuple, TorusElement, torus_apply
+from .relations import _PAIRS0, SixTuple, TorusElement, _minors, torus_apply
 
 # Circles must clear each other by this much to count as disjoint.
 DISJOINT_MARGIN = 1e-9
-
-
-def _check_pair(i: int, j: int) -> None:
-    if not (1 <= i < j <= 4):
-        raise IndexError(f"need indices 1 <= i < j <= 4, got ({i}, {j})")
 
 
 @dataclass(frozen=True)
@@ -125,26 +120,27 @@ class MeasurementTable:
     p: SixTuple
 
 
-def bitangent_direct(cfg: ConcyclicConfig, i: int, j: int) -> float:
-    """Independent bitangent oracle: sqrt(c^2 - (r_i - r_j)^2) from the centers.
+def bitangent_direct(cfg: ConcyclicConfig) -> SixTuple:
+    """Independent bitangent oracle: sqrt(c^2 - (r_i - r_j)^2) from the centers, per pair.
 
     Kept deliberately free of the chord shortcut so it can cross-check
     measure_all's t; c is the distance between the two circle centers.
     """
-    _check_pair(i, j)
-    ci, cj = cfg.centers[i - 1], cfg.centers[j - 1]
-    c_sq = (ci[0] - cj[0]) ** 2 + (ci[1] - cj[1]) ** 2
-    dr = cfg.r[i - 1] - cfg.r[j - 1]
-    arg = c_sq - dr * dr
-    if arg <= 0.0:
-        raise ConfigurationError(f"circles {i} and {j} admit no exterior bitangent")
-    return math.sqrt(arg)
+    values = []
+    for i, j in _PAIRS0:
+        (xi, yi), (xj, yj) = cfg.centers[i], cfg.centers[j]
+        dr = cfg.r[i] - cfg.r[j]
+        arg = (xi - xj) ** 2 + (yi - yj) ** 2 - dr * dr
+        if arg <= 0.0:
+            raise ConfigurationError(f"circles {i + 1} and {j + 1} admit no exterior bitangent")
+        values.append(math.sqrt(arg))
+    return SixTuple(*values)
 
 
-def lambda_minkowski(cfg: ConcyclicConfig, i: int, j: int) -> float:
-    """Lambda length via the light-cone pairing; independent of the bitangent path."""
-    _check_pair(i, j)
-    return lambda_length(cfg.horocycle(i), cfg.horocycle(j))
+def lambda_minkowski(cfg: ConcyclicConfig) -> SixTuple:
+    """Lambda lengths via the light-cone pairing; independent of the bitangent path."""
+    h = [cfg.horocycle(k) for k in (1, 2, 3, 4)]
+    return SixTuple(*[lambda_length(h[i], h[j]) for i, j in _PAIRS0])
 
 
 def measure_all(cfg: ConcyclicConfig) -> MeasurementTable:
@@ -167,8 +163,6 @@ def measure_all(cfg: ConcyclicConfig) -> MeasurementTable:
     # would round differently and change the reported lambda lengths.
     lam = SixTuple(t12 / (s1 * s2), t13 / (s1 * s3), t14 / (s1 * s4),
                    t23 / (s2 * s3), t24 / (s2 * s4), t34 / (s3 * s4))
-    c1, c2, c3, c4 = cos(a1), cos(a2), cos(a3), cos(a4)
-    n1, n2, n3, n4 = sin(a1), sin(a2), sin(a3), sin(a4)
-    p = SixTuple(c1 * n2 - c2 * n1, c1 * n3 - c3 * n1, c1 * n4 - c4 * n1,
-                 c2 * n3 - c3 * n2, c2 * n4 - c4 * n2, c3 * n4 - c4 * n3)
+    p = SixTuple(*_minors((cos(a1), sin(a1)), (cos(a2), sin(a2)),
+                          (cos(a3), sin(a3)), (cos(a4), sin(a4))))
     return MeasurementTable(d=d, t=t, lam=lam, p=p)

@@ -225,14 +225,14 @@ def cayley_uhp_to_disk(w: UhpPoint):
 def cayley_disk_to_uhp(p) -> UhpPoint:
     """Inverse Cayley transform w -> i(1+w)/(1-w).
 
-    Accepts a DiskPoint or BoundaryPoint; the boundary point 1 maps to the
-    distinguished point at infinity.
+    Accepts a DiskPoint or BoundaryPoint.  The boundary point 1, and one whose
+    image overflows (a subnormal angle), map to the point at infinity.
     """
     z = p.as_complex()
     ideal = isinstance(p, BoundaryPoint)
-    if ideal and abs(z - 1.0) < 1e-15:
+    image = 1j * (1.0 + z) / (1.0 - z) if z != 1.0 else math.inf
+    if ideal and not math.isfinite(image.real):
         return UhpPoint.infinity()
-    image = 1j * (1.0 + z) / (1.0 - z)
     return UhpPoint(image.real, 0.0 if ideal else image.imag)
 
 
@@ -272,13 +272,17 @@ def hyp_distance_crossratio(w1: UhpPoint, w2: UhpPoint) -> float:
     the cross-ratio of (w1, w2, e1, e2), which is -P13*P24/(P23*P14) and
     small exactly when w1 is near w2; so d = |log1p(Re X)|.  Once -CR < 1/2
     the log of CR itself loses nothing and log1p(X) would cancel instead.
+    Domain limit: a CR that underflows to 0 (too distant points) raises DomainError.
     """
     e1, e2 = geodesic_ideal_endpoints(w1, w2)
     w1h, e1h, w2h, e2h = (p.projective() for p in (w1, e1, w2, e2))
     x = cross_ratio_points(w1h, w2h, e1h, e2h).real
     if x > -0.5:
         return abs(math.log1p(x))
-    return abs(math.log(abs(cross_ratio_points(w1h, e1h, w2h, e2h))))
+    cr = abs(cross_ratio_points(w1h, e1h, w2h, e2h))
+    if cr == 0.0:
+        raise DomainError(f"distance out of float range: cross-ratio of {w1}, {w2} underflows to 0")
+    return abs(math.log(cr))
 
 
 def hyp_distance_hyperboloid(v1: HyperboloidPoint, v2: HyperboloidPoint) -> float:

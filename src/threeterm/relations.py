@@ -9,6 +9,7 @@ below constructs the rescaling, unique up to a global sign.
 
 SixTuple and TorusElement are tuples that check their entries on every
 construction path, so the functions below unpack and iterate them directly.
+_minors is the package's one routine for the 2x2 minors of four columns.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def residual(t: SixTuple) -> Scalar:
 def quadric_scale(t: SixTuple) -> float:
     """Scale for relative residual tests: the largest of the three monomials.
 
-    No floor: scaling every entry by s scales the residual and this scale
+    No floor: scaling every entry by s multiplies the residual and this scale
     alike by s^2, so the relative tests do not depend on the tuple's units.
     """
     a12, a13, a14, a23, a24, a34 = t
@@ -242,24 +243,27 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
     return q
 
 
-def det2(p, q) -> Scalar:
-    """The 2x2 determinant p[0]*q[1] - p[1]*q[0] of two columns."""
-    return p[0] * q[1] - p[1] * q[0]
+def _minors(x1, x2, x3, x4) -> tuple[Scalar, ...]:
+    """The six 2x2 minors x_i[0]*x_j[1] - x_i[1]*x_j[0] of four columns, in pair order."""
+    (a1, b1), (a2, b2), (a3, b3), (a4, b4) = x1, x2, x3, x4
+    return (a1 * b2 - b1 * a2, a1 * b3 - b1 * a3, a1 * b4 - b1 * a4,
+            a2 * b3 - b2 * a3, a2 * b4 - b2 * a4, a3 * b4 - b3 * a4)
 
 
 def cross_ratio_points(x1, x2, x3, x4) -> Scalar:
     """Cross-ratio of four points of the projective line.
 
     Points are 2-component homogeneous vectors (finite x as (x, 1), infinity
-    as (1, 0)); the value is P12*P34/(P23*P14) with P_ij the 2x2 determinant.
+    as (1, 0)); the value is P12*P34/(P23*P14) with P_ij their 2x2 minors.
     Rescaling any single vector leaves the value unchanged.  Coincidences are
     allowed only while the denominator stays nonzero.  A value that is not
     finite (from an infinite component or an overflow) raises DegenerateError.
     """
-    den = det2(x2, x3) * det2(x1, x4)
+    p12, _, p14, p23, _, p34 = _minors(x1, x2, x3, x4)
+    den = p23 * p14
     if den == 0:
         raise DegenerateError("cross-ratio undefined: P23*P14 = 0")
-    value = det2(x1, x2) * det2(x3, x4) / den
+    value = p12 * p34 / den
     if not cmath.isfinite(value):
         raise DegenerateError(f"cross-ratio is not finite: {value}")
     return value

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 
 from .measurements import ConcyclicConfig
-from .relations import _PAIRS0, PAIRS
+from .relations import _PAIRS0, PAIRS, _minors
 
 # Unit circle maps to a 1000x1000 viewport: radius 480 px centered at
 # (500, 500), y axis flipped to mathematical orientation.
@@ -104,13 +104,12 @@ def render_svg(cfg: ConcyclicConfig) -> str:
     points = cfg.tangency_points
     px = [("%.6f" % (CENTER + SCALE * x), "%.6f" % (CENTER - SCALE * y)) for x, y in points]
     geodesics = []
-    for i, j in _PAIRS0:
+    for (i, j), det in zip(_PAIRS0, _minors(*points)):
         (ax, ay), (bx, by) = points[i], points[j]
         values += (*px[i], *px[j],
                    CENTER + SCALE * ((ax + bx) / 2.0), CENTER - SCALE * ((ay + by) / 2.0))
         # The circle orthogonal to the unit circle through A_i and A_j has
         # the center M with <A_i, M> = <A_j, M> = 1 and radius sqrt(|M|^2 - 1).
-        det = ax * by - ay * bx
         if abs(det) < _DIAMETER_TOL:
             geodesics.append(_GEODESIC_LINE % (*px[i], *px[j]))
             continue

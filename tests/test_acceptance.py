@@ -100,6 +100,7 @@ def test_criterion_2_rescaling_identities(configs):
     worst = 0.0
     for cfg in configs:
         table = measure_all(cfg)
+        bitangents, lambdas = bitangent_direct(cfg), lambda_minkowski(cfg)
         for idx, (i, j) in enumerate(PAIRS):
             d_ij = table.d.values()[idx]
             t_ij = table.t.values()[idx]
@@ -107,13 +108,13 @@ def test_criterion_2_rescaling_identities(configs):
             ri, rj = cfg.r[i - 1], cfg.r[j - 1]
             # Eq: t = sqrt(1-r_i) sqrt(1-r_j) d, cross-checked via the
             # independent exterior-tangent oracle
-            oracle = bitangent_direct(cfg, i, j)
+            oracle = bitangents[idx]
             worst = max(worst, abs(t_ij - oracle) / oracle)
             expected_t = math.sqrt(1 - ri) * math.sqrt(1 - rj) * d_ij
             worst = max(worst, abs(t_ij - expected_t) / expected_t)
             # Eq: t = lambda sqrt(2 r_i) sqrt(2 r_j), lambda via the
             # Minkowski pairing path
-            lam = lambda_minkowski(cfg, i, j)
+            lam = lambdas[idx]
             expected = lam * math.sqrt(2 * ri) * math.sqrt(2 * rj)
             worst = max(worst, abs(t_ij - expected) / expected)
             # Eq: d = 2 P

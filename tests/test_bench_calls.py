@@ -5,7 +5,9 @@ functions and methods to time them (see `workloads.calls` and
 `workloads.instrument`).  This runs one round of each in-process workload
 with those patches on and every check of `bench/checker.py`, so a change
 that removes a name the benchmark uses fails here, not only in the slow
-`bench/test_smoke.py`.
+`bench/test_smoke.py`.  Every call name the traced run reports on
+(`run.SWEEP_CALLS`, `run.ORBIT_CALLS`) must record a span: the traced run
+takes a median over the operations that called each one.
 """
 
 from pathlib import Path
@@ -18,15 +20,16 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.fixture
 def bench(monkeypatch):
     monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import run
     import spans
     import workloads
 
-    return spans, workloads
+    return run, spans, workloads
 
 
 @pytest.mark.parametrize("name", ["sweep", "orbit"])
 def test_one_traced_round(bench, name):
-    spans, workloads = bench
+    run, spans, workloads = bench
     prog = workloads.load_program(ROOT / "src")
     tracer = spans.Tracer()
     api = workloads.calls(prog, tracer)
@@ -40,3 +43,5 @@ def test_one_traced_round(bench, name):
         tracer.restore()
     assert failed == 0
     assert tracer.spans and None not in tracer.spans
+    reported = run.SWEEP_CALLS if name == "sweep" else run.ORBIT_CALLS
+    assert set(reported) <= {span[1] for span in tracer.spans}

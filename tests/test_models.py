@@ -230,6 +230,17 @@ class TestCayley:
         w = cayley_disk_to_uhp(BoundaryPoint(0.0))
         assert w.at_infinity
 
+    @pytest.mark.parametrize("theta", [1e-16, 1e-300, 2e-308])
+    def test_tiny_angle_round_trip(self, theta):
+        # Only the point 1 itself is at infinity: a tiny angle has the finite image -2/theta.
+        w = cayley_disk_to_uhp(BoundaryPoint(theta))
+        assert not w.at_infinity
+        assert abs(cayley_uhp_to_disk(w).theta - theta) <= 1e-15 * theta
+
+    def test_subnormal_angle_to_infinity(self):
+        # -2/theta overflows for a subnormal angle; its image is the point at infinity.
+        assert cayley_disk_to_uhp(BoundaryPoint(5e-324)).at_infinity
+
     def test_interior_round_trip(self):
         rng = np.random.default_rng(17)
         for _ in range(1000):
@@ -288,6 +299,13 @@ class TestDistances:
     def test_coincident_rejected(self):
         with pytest.raises(DegenerateError):
             hyp_distance_crossratio(UhpPoint(2, 3), UhpPoint(2, 3))
+
+    def test_underflowing_cross_ratio_rejected(self):
+        # The cross-ratio of points about 400 decades apart underflows to 0.
+        w1 = UhpPoint(1.7139994621560496e173, 2.0689598579217e-244)
+        w2 = UhpPoint(1.7139994621560496e173, 2.3337239046314507e157)
+        with pytest.raises(DomainError, match="underflows"):
+            hyp_distance_crossratio(w1, w2)
 
     def test_nearly_coincident_is_nearly_zero(self):
         d = hyp_distance_crossratio(UhpPoint(0.5, 1.0), UhpPoint(0.5 + 1e-9, 1.0))

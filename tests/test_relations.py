@@ -305,6 +305,19 @@ class TestRescalingSolve:
         assert abs(info.value.invariant_a - 1.0) < 1e-12
         assert abs(info.value.invariant_b - 3.0) < 1e-12
 
+    def test_postcondition_names_the_entry(self):
+        # b34 is off by 1e-9 of itself: the quadric residual (1e-11 of the
+        # largest monomial) and the invariant gap (1e-11) both pass at 1e-10,
+        # and only the entrywise check of q against b catches it.
+        a = SixTuple(0.01, 1.01, 1.0, 1.0, 1.0, 1.0)
+        b12, b13, b14, b23, b24, b34 = torus_apply(TorusElement(2.0, 0.5, 3.0, 1.5), a)
+        b = SixTuple(b12, b13, b14, b23, b24, b34 * (1.0 + 1e-9))
+        assert is_on_quadric(a, 1e-10) and is_on_quadric(b, 1e-10)
+        with pytest.raises(NotSameOrbitError, match="entry 34") as info:
+            rescaling_solve(a, b)
+        assert info.value.invariant_a == 0.01
+        assert abs(info.value.invariant_b - 0.01) <= 1e-10
+
     def test_zero_entry_rejected(self):
         with pytest.raises(DegenerateError):
             rescaling_solve(SixTuple(0, 2, 1, 1, 2, 1), SixTuple(1, 2, 1, 1, 2, 1))
