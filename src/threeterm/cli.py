@@ -140,7 +140,15 @@ def _read_matrix(path: str) -> Matrix2x4:
 
 def _max_rel_dev(lhs, rhs) -> float:
     """The largest entrywise deviation |l - r| / max(|l|, |r|, 1)."""
-    return max([abs(l - r) / max(abs(l), abs(r), 1.0) for l, r in zip(lhs, rhs)])
+    worst = 0.0
+    for l, r in zip(lhs, rhs):
+        scale = abs(l)
+        if abs(r) > scale:
+            scale = abs(r)
+        dev = abs(l - r) / (scale if scale > 1.0 else 1.0)
+        if dev > worst:
+            worst = dev
+    return worst
 
 
 def build_report(cfg: ConcyclicConfig, tol: float) -> dict:
@@ -151,24 +159,24 @@ def build_report(cfg: ConcyclicConfig, tol: float) -> dict:
     independent computation path (direct bitangent oracle, light-cone
     lambda carried to t by the torus element sqrt(2 r_i), minors vs chord).
     """
-    table = measure_all(cfg)
-    families = {"d": table.d, "t": table.t, "lambda": table.lam, "P": table.p}
-    residuals = {name: relative_residual(t) for name, t in families.items()}
-    lambda_to_t = TorusElement(*(math.sqrt(2.0 * v) for v in cfg.r))
+    d, t, lam, p = measure_all(cfg)
+    residuals = {"d": relative_residual(d), "t": relative_residual(t),
+                 "lambda": relative_residual(lam), "P": relative_residual(p)}
+    r1, r2, r3, r4 = cfg.r
+    lambda_to_t = TorusElement(math.sqrt(2.0 * r1), math.sqrt(2.0 * r2),
+                               math.sqrt(2.0 * r3), math.sqrt(2.0 * r4))
     identities = {
-        "chord_bitangent": _max_rel_dev(table.t, bitangent_direct(cfg)),
-        "bitangent_lambda": _max_rel_dev(table.t, torus_apply(lambda_to_t, lambda_minkowski(cfg))),
-        "chord_plucker": _max_rel_dev(table.d, [2.0 * v for v in table.p]),
+        "chord_bitangent": _max_rel_dev(t, bitangent_direct(cfg)),
+        "bitangent_lambda": _max_rel_dev(t, torus_apply(lambda_to_t, lambda_minkowski(cfg))),
+        "chord_plucker": _max_rel_dev(d, [2.0 * v for v in p]),
     }
-    passed = {name: value <= tol for name, value in residuals.items()}
-    passed.update({name: value <= tol for name, value in identities.items()})
     return {
         "config": {"alpha": list(cfg.alpha), "radii": list(cfg.r)},
         "tolerance": tol,
-        "measurements": {name: list(t) for name, t in families.items()},
+        "measurements": {"d": list(d), "t": list(t), "lambda": list(lam), "P": list(p)},
         "residuals": residuals,
         "identities": identities,
-        "pass": passed,
+        "pass": {name: value <= tol for name, value in (*residuals.items(), *identities.items())},
     }
 
 

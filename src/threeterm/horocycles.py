@@ -49,9 +49,14 @@ def horocycle_from_tangency(theta: BoundaryPoint, r: float) -> LightConePoint:
     """
     if not 0.0 < r < 1.0:
         raise DomainError(f"tangent circle radius must lie in (0, 1): {r}")
-    z = (1.0 / r - 1.0) / SQRT2
     c = theta.as_complex()
-    x, y = z * c.real, z * c.imag
+    return _horocycle_at(c.real, c.imag, r)
+
+
+def _horocycle_at(x: float, y: float, r: float) -> LightConePoint:
+    """The horocycle tangent at the unit boundary point (x, y) with radius r in (0, 1)."""
+    z = (1.0 / r - 1.0) / SQRT2
+    x, y = z * x, z * y
     # The third component is hypot(x, y) already, so LightConePoint keeps this vector.
     return LightConePoint(MinkowskiVec(x, y, math.hypot(x, y)))
 

@@ -18,18 +18,20 @@ oracles bitangent_direct and lambda_minkowski return whole families by
 independent paths (circle centres, light-cone pairings of the horocycles).
 
 A configuration computes its tangency points and centres once, at
-construction, and its four horocycles once, on first use.
+construction.  On first use it builds its four horocycles from those stored
+tangency points, with no second cos/sin of the boundary angles.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import ConfigurationError
-from .horocycles import horocycle_from_tangency, horocycle_to_circle, lambda_length
-from .models import BoundaryPoint, LightConePoint, MinkowskiVec, lightcone_to_boundary
+from .horocycles import _horocycle_at, horocycle_to_circle, lambda_length
+from .models import LightConePoint, MinkowskiVec, lightcone_to_boundary
 from .relations import _PAIRS0, SixTuple, TorusElement, _minors, torus_apply
 
 # Circles must clear each other by this much to count as disjoint.
@@ -98,10 +100,14 @@ class ConcyclicConfig:
 
     @cached_property
     def _horocycles(self) -> tuple[LightConePoint, ...]:
-        return tuple(
-            horocycle_from_tangency(BoundaryPoint(2.0 * a), rk)
-            for a, rk in zip(self.alpha, self.r)
-        )
+        r1, r2, r3, r4 = self.r
+        (x1, y1), (x2, y2), (x3, y3), (x4, y4) = self.tangency_points
+        if self.alpha[3] == math.pi:
+            # Boundary angle 2*pi is the point (1, 0), as BoundaryPoint wraps
+            # it to 0; its stored sine is -2.4e-16.
+            y4 = 0.0
+        return (_horocycle_at(x1, y1, r1), _horocycle_at(x2, y2, r2),
+                _horocycle_at(x3, y3, r3), _horocycle_at(x4, y4, r4))
 
     def horocycle(self, i: int) -> LightConePoint:
         """The circle H_i as a horocycle of the Poincare disk: its light-cone point (1-based)."""
@@ -110,14 +116,10 @@ class ConcyclicConfig:
         return self._horocycles[i - 1]
 
 
-@dataclass(frozen=True)
-class MeasurementTable:
+class MeasurementTable(namedtuple("MeasurementTable", ("d", "t", "lam", "p"))):
     """The four measurement families of a configuration, one SixTuple each."""
 
-    d: SixTuple
-    t: SixTuple
-    lam: SixTuple
-    p: SixTuple
+    __slots__ = ()
 
 
 def bitangent_direct(cfg: ConcyclicConfig) -> SixTuple:
@@ -139,8 +141,9 @@ def bitangent_direct(cfg: ConcyclicConfig) -> SixTuple:
 
 def lambda_minkowski(cfg: ConcyclicConfig) -> SixTuple:
     """Lambda lengths via the light-cone pairing; independent of the bitangent path."""
-    h = [cfg.horocycle(k) for k in (1, 2, 3, 4)]
-    return SixTuple(*[lambda_length(h[i], h[j]) for i, j in _PAIRS0])
+    h1, h2, h3, h4 = cfg.horocycle(1), cfg.horocycle(2), cfg.horocycle(3), cfg.horocycle(4)
+    return SixTuple(lambda_length(h1, h2), lambda_length(h1, h3), lambda_length(h1, h4),
+                    lambda_length(h2, h3), lambda_length(h2, h4), lambda_length(h3, h4))
 
 
 def measure_all(cfg: ConcyclicConfig) -> MeasurementTable:
@@ -165,4 +168,4 @@ def measure_all(cfg: ConcyclicConfig) -> MeasurementTable:
                    t23 / (s2 * s3), t24 / (s2 * s4), t34 / (s3 * s4))
     p = SixTuple(*_minors((cos(a1), sin(a1)), (cos(a2), sin(a2)),
                           (cos(a3), sin(a3)), (cos(a4), sin(a4))))
-    return MeasurementTable(d=d, t=t, lam=lam, p=p)
+    return MeasurementTable(d, t, lam, p)

@@ -272,9 +272,19 @@ def hyp_distance_crossratio(w1: UhpPoint, w2: UhpPoint) -> float:
     the cross-ratio of (w1, w2, e1, e2), which is -P13*P24/(P23*P14) and
     small exactly when w1 is near w2; so d = |log1p(Re X)|.  Once -CR < 1/2
     the log of CR itself loses nothing and log1p(X) would cancel instead.
+    A vertical pair needs no cross-ratio: d = log(hi/lo) of its heights,
+    through log1p while hi <= 2*lo (where hi - lo is exact) and as
+    log(hi) - log(lo) once hi/lo overflows (d > 709, so the two logs' errors
+    stay near u*d); each way d is within a few u of the exact distance.
     Domain limit: a CR that underflows to 0 (too distant points) raises DomainError.
     """
     e1, e2 = geodesic_ideal_endpoints(w1, w2)
+    if w1.re == w2.re:
+        lo, hi = sorted((w1.im, w2.im))
+        if hi <= 2.0 * lo:
+            return math.log1p((hi - lo) / lo)
+        ratio = hi / lo
+        return math.log(ratio) if ratio <= _HUGE else math.log(hi) - math.log(lo)
     w1h, e1h, w2h, e2h = (p.projective() for p in (w1, e1, w2, e2))
     x = cross_ratio_points(w1h, w2h, e1h, e2h).real
     if x > -0.5:

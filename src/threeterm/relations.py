@@ -136,11 +136,12 @@ def _residual_and_scale(t: SixTuple) -> tuple[Scalar, float]:
     Outside it, the monomials are formed from frexp mantissas and exponents,
     scaled so that the largest is near 1: t and 2^k*t give the same answers.
     """
-    scale = quadric_scale(t)
+    a12, a13, a14, a23, a24, a34 = t
+    m1, m2, m3 = a12 * a34, a14 * a23, a13 * a24
+    scale = max(abs(m1), abs(m2), abs(m3))
     if 2.0 ** -969 <= scale <= 2.0 ** 1022:
-        return residual(t), scale
-    parts = [_scaled_product(t.a12, t.a34), _scaled_product(t.a14, t.a23),
-             _scaled_product(t.a13, t.a24)]
+        return m1 + m2 - m3, scale
+    parts = [_scaled_product(a12, a34), _scaled_product(a14, a23), _scaled_product(a13, a24)]
     top = max((e for m, e in parts if m), default=0)
     m1, m2, m3 = (_ldexp(m, e - top) for m, e in parts)
     return m1 + m2 - m3, max(abs(m1), abs(m2), abs(m3))
@@ -228,8 +229,10 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
             q1_squared = c12 * (c13 / c23)  # c12*c13 alone left the float range
         q1 = _principal_sqrt(q1_squared)
         q = TorusElement(q1, c12 / q1, c13 / q1, c14 / q1)
-    except ZeroDivisionError:
-        raise DegenerateError("rescaling leaves the float range: a ratio b_ij/a_ij or q1 is 0") from None
+    except (ZeroDivisionError, DegenerateError):
+        raise DegenerateError(
+            "rescaling leaves the float range: a ratio b_ij/a_ij or q_i is 0 or not finite"
+        ) from None
     # Postcondition: every pair product matches within tol, else the inputs
     # were not genuinely orbit-equivalent at this tolerance.
     qs = (None, *q)

@@ -59,37 +59,37 @@ _GEODESIC_LINE = '<line class="geodesic" x1="%s" y1="%s" x2="%s" y2="%s"/>'
 _GEODESIC_ARC = '<path class="geodesic" d="M %s %s A %s %s 0 0 %d %s %s"/>'
 
 
-def _bitangent_segments(cfg: ConcyclicConfig) -> list[tuple[float, ...]]:
-    """The six exterior bitangent segments, in pair order: (x_i, y_i, x_j, y_j, hx, hy).
+def _bitangent_segments(cfg: ConcyclicConfig, values: list) -> None:
+    """Append the six exterior bitangent segments to values, in pixels and pair order.
 
-    (x_i, y_i) and (x_j, y_j) are the points of tangency on circles i and j
-    and (hx, hy) the segment's midpoint.  The tangent line has unit normal m
-    with <C_j - C_i, m> = r_j - r_i and both circles on the same side; of the
-    two such lines we take the one whose segment midpoint lies strictly
-    farther from the origin (the outer one), else the first.
+    Each segment is (x_i, y_i, x_j, y_j, hx, hy): the points of tangency on
+    circles i and j and the segment's midpoint.  The tangent line has unit
+    normal m with <C_j - C_i, m> = r_j - r_i and both circles on the same
+    side; of the two such lines we take the one whose segment midpoint lies
+    strictly farther from the origin (the outer one), else the first.
     """
     centers, r = cfg.centers, cfg.r
-    segments = []
+    hypot, sqrt = math.hypot, math.sqrt
     for i, j in _PAIRS0:
         (cix, ciy), (cjx, cjy) = centers[i], centers[j]
         ri, rj = r[i], r[j]
         dx, dy = cjx - cix, cjy - ciy
-        c = math.hypot(dx, dy)
+        c = hypot(dx, dy)
         ux, uy = dx / c, dy / c
         cos_psi = (rj - ri) / c
-        sin_psi = math.sqrt(max(0.0, 1.0 - cos_psi * cos_psi))
+        sin_psi = sqrt(max(0.0, 1.0 - cos_psi * cos_psi))
         a, b = cos_psi * ux, sin_psi * uy
         e, f = cos_psi * uy, sin_psi * ux
-        best, best_dist = None, -1.0
-        for mx, my in ((a - b, e + f), (a + b, e - f)):
-            tix, tiy = cix - ri * mx, ciy - ri * my
-            tjx, tjy = cjx - rj * mx, cjy - rj * my
-            hx, hy = (tix + tjx) / 2.0, (tiy + tjy) / 2.0
-            dist = math.hypot(hx, hy)
-            if dist > best_dist:
-                best, best_dist = (tix, tiy, tjx, tjy, hx, hy), dist
-        segments.append(best)
-    return segments
+        mx, my = a - b, e + f
+        tix, tiy, tjx, tjy = cix - ri * mx, ciy - ri * my, cjx - rj * mx, cjy - rj * my
+        hx, hy = (tix + tjx) / 2.0, (tiy + tjy) / 2.0
+        mx, my = a + b, e - f
+        six, siy, sjx, sjy = cix - ri * mx, ciy - ri * my, cjx - rj * mx, cjy - rj * my
+        gx, gy = (six + sjx) / 2.0, (siy + sjy) / 2.0
+        if hypot(gx, gy) > hypot(hx, hy):
+            tix, tiy, tjx, tjy, hx, hy = six, siy, sjx, sjy, gx, gy
+        values += (CENTER + SCALE * tix, CENTER - SCALE * tiy, CENTER + SCALE * tjx,
+                   CENTER - SCALE * tjy, CENTER + SCALE * hx, CENTER - SCALE * hy)
 
 
 def render_svg(cfg: ConcyclicConfig) -> str:
@@ -118,9 +118,7 @@ def render_svg(cfg: ConcyclicConfig) -> str:
         # Minor arc; math-counterclockwise becomes sweep 0 after the y flip.
         sweep = 0 if (ax - mx) * (by - my) - (ay - my) * (bx - mx) > 0 else 1
         geodesics.append(_GEODESIC_ARC % (*px[i], rpx, rpx, sweep, *px[j]))
-    for tix, tiy, tjx, tjy, hx, hy in _bitangent_segments(cfg):
-        values += (CENTER + SCALE * tix, CENTER - SCALE * tiy, CENTER + SCALE * tjx,
-                   CENTER - SCALE * tjy, CENTER + SCALE * hx, CENTER - SCALE * hy)
+    _bitangent_segments(cfg, values)
     geodesics.append("</svg>\n")
     # Every "-" before a digit is a number's sign, so this maps each
     # negative zero to "0.000000" without touching any other number.

@@ -7,7 +7,9 @@ with those patches on and every check of `bench/checker.py`, so a change
 that removes a name the benchmark uses fails here, not only in the slow
 `bench/test_smoke.py`.  Every call name the traced run reports on
 (`run.SWEEP_CALLS`, `run.ORBIT_CALLS`) must record a span: the traced run
-takes a median over the operations that called each one.
+takes a median over the operations that called each one.  The traced run
+also times `import threeterm.cli` and requires numpy in it; that probe runs
+here too.
 """
 
 from pathlib import Path
@@ -45,3 +47,11 @@ def test_one_traced_round(bench, name):
     assert tracer.spans and None not in tracer.spans
     reported = run.SWEEP_CALLS if name == "sweep" else run.ORBIT_CALLS
     assert set(reported) <= {span[1] for span in tracer.spans}
+
+
+def test_import_probe(bench):
+    # The traced run reads `import threeterm.cli` from -X importtime and
+    # requires a numpy line in it; a tree whose start-up drops numpy fails here.
+    run, _, _ = bench
+    import_ms, numpy_ms = run.import_times(reps=1)
+    assert import_ms > 0 and numpy_ms > 0

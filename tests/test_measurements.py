@@ -25,11 +25,16 @@ SQRT2 = math.sqrt(2.0)
 def configs(draw) -> ConcyclicConfig:
     """Valid configurations: half-angles from positive gaps, log-uniform radii.
 
-    Draws whose circles overlap are dropped.
+    The first half-angle may be pinned to 0 or the last to pi, the ends of
+    the range (boundary angles 0 and 2*pi, the same point).  Draws whose
+    circles overlap are dropped.
     """
     weights = draw(st.lists(st.floats(min_value=1e-3, max_value=1.0), min_size=5, max_size=5))
     total = sum(weights)
     alpha = [math.pi * sum(weights[:k + 1]) / total for k in range(4)]
+    end = draw(st.sampled_from([None, 0, 3]))
+    if end is not None:
+        alpha[end] = 0.0 if end == 0 else math.pi
     r = [10.0 ** e for e in draw(st.lists(st.floats(min_value=-9.0, max_value=-0.25),
                                           min_size=4, max_size=4))]
     try:
@@ -80,16 +85,10 @@ class TestConfigValidation:
 
 class TestFromLightcone:
     @settings(max_examples=300, deadline=None)
-    @given(cfg=configs(), first=st.sampled_from([None, 0.0]), last=st.sampled_from([None, math.pi]))
-    def test_own_horocycles_give_back_the_config(self, cfg, first, last):
-        # first = 0 and last = pi put tangencies at boundary angles 0 and 2*pi,
-        # the wrap that reads back as pi.
-        alpha = (cfg.alpha[0] if first is None else first, *cfg.alpha[1:3],
-                 cfg.alpha[3] if last is None else last)
-        try:
-            cfg = ConcyclicConfig(alpha, cfg.r)
-        except ConfigurationError:
-            assume(False)
+    @given(cfg=configs())
+    def test_own_horocycles_give_back_the_config(self, cfg):
+        # configs() draws half-angles 0 and pi too: tangencies at boundary
+        # angles 0 and 2*pi, the wrap that reads back as pi.
         vectors = [(u.x, u.y, u.z) for u in (cfg.horocycle(i).u for i in range(1, 5))]
         back = ConcyclicConfig.from_lightcone(vectors)
         for got, want in zip(back.alpha + back.r, cfg.alpha + cfg.r):

@@ -301,11 +301,40 @@ class TestDistances:
             hyp_distance_crossratio(UhpPoint(2, 3), UhpPoint(2, 3))
 
     def test_underflowing_cross_ratio_rejected(self):
-        # The cross-ratio of points about 400 decades apart underflows to 0.
+        # Side by side at height 1e-200, about 921 apart: the geodesic's
+        # endpoints are 0 and 1, so the cross-ratio is about (1e-200)^2 and
+        # underflows to 0.
+        with pytest.raises(DomainError, match="underflows"):
+            hyp_distance_crossratio(UhpPoint(0.0, 1e-200), UhpPoint(1.0, 1e-200))
+
+    def test_vertical_pair_beyond_cross_ratio_range(self):
+        # About 400 decades apart, one above the other: log(im2/im1) needs
+        # no cross-ratio, though im2/im1 itself overflows.
         w1 = UhpPoint(1.7139994621560496e173, 2.0689598579217e-244)
         w2 = UhpPoint(1.7139994621560496e173, 2.3337239046314507e157)
-        with pytest.raises(DomainError, match="underflows"):
-            hyp_distance_crossratio(w1, w2)
+        with mpmath.workdps(30):
+            want = float(mpmath.log(mpmath.mpf(w2.im) / mpmath.mpf(w1.im)))
+        assert want == pytest.approx(923.457041527797, rel=1e-15)
+        assert hyp_distance_crossratio(w1, w2) == hyp_distance_crossratio(w2, w1)
+        assert abs(hyp_distance_crossratio(w1, w2) - want) <= 4 * U * want
+
+    @settings(max_examples=300, deadline=None)
+    @given(re=st.floats(min_value=-1e300, max_value=1e300),
+           low=st.floats(min_value=5e-324, max_value=1e300),
+           log_d=st.floats(min_value=-15.0, max_value=3.2), up=st.booleans())
+    def test_vertical_pair_against_mpmath(self, re, low, log_d, up):
+        # Heights low and low * exp(10**log_d) (rounded), anywhere in the
+        # float range, from an ulp apart to over 600 decades apart.  The
+        # answer comes from log1p, the log of the ratio, or the difference of
+        # two logs, each within a few roundings of d: 4 U relative.
+        with mpmath.workdps(30):
+            high = float(low * mpmath.exp(mpmath.power(10, log_d)))
+            assume(low < high < math.inf)
+            want = float(mpmath.log(mpmath.mpf(high) / mpmath.mpf(low)))
+        w1, w2 = UhpPoint(re, low), UhpPoint(re, high)
+        if not up:
+            w1, w2 = w2, w1
+        assert abs(hyp_distance_crossratio(w1, w2) - want) <= 4 * U * want
 
     def test_nearly_coincident_is_nearly_zero(self):
         d = hyp_distance_crossratio(UhpPoint(0.5, 1.0), UhpPoint(0.5 + 1e-9, 1.0))

@@ -16,6 +16,8 @@ from threeterm.relations import (
     PAIRS,
     SixTuple,
     TorusElement,
+    _ldexp,
+    _residual_and_scale,
     cross_ratio_invariant,
     cross_ratio_points,
     is_on_quadric,
@@ -41,6 +43,16 @@ def six_tuples(draw) -> SixTuple:
         v = draw(st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=8, max_size=8))
         return SixTuple(*[v[i - 1] * v[j + 3] - v[j - 1] * v[i + 3] for i, j in PAIRS])
     return SixTuple(*draw(st.lists(nonzero_scalar, min_size=6, max_size=6)))
+
+
+moderate = st.one_of(st.just(0.0), st.floats(min_value=2.0**-20, max_value=2.0**20)).flatmap(
+    lambda m: st.sampled_from([m, -m])
+)
+
+
+def _bits(*values) -> list:
+    """The values' exact bit patterns, the sign of a zero included."""
+    return [(v.real.hex(), v.imag.hex()) if isinstance(v, complex) else v.hex() for v in values]
 
 
 def away_from_band(t: SixTuple) -> bool:
@@ -146,6 +158,28 @@ class TestResidual:
         for s in (1e-170, 1e170):
             assert is_on_quadric(SixTuple(*[s * v for v in on]), 1e-10)
             assert not is_on_quadric(SixTuple(s, s, s, s, s, s * 1j), 1e-10)
+
+    @settings(max_examples=300, deadline=None)
+    @given(parts=st.lists(moderate, min_size=12, max_size=12), is_complex=st.booleans(),
+           k=st.integers(min_value=-540, max_value=510))
+    def test_residual_and_scale_bit_for_bit(self, parts, is_complex, k):
+        # base has monomials in [2^-40, 2^42] (or 0) and 2^k*base, entries
+        # exact, monomials anywhere from 2^-1120 to 2^1062.  Where the
+        # largest lies in the window the pair is (residual, quadric_scale)
+        # of the tuple itself; outside it, that of base times one power of
+        # two, which the frexp branch forms without rounding anew.
+        if is_complex:
+            base = SixTuple(*[complex(re, im) for re, im in zip(parts[:6], parts[6:])])
+        else:
+            base = SixTuple(*parts[:6])
+        t = SixTuple(*[_ldexp(v, k) for v in base])
+        got = _residual_and_scale(t)
+        if 2.0**-969 <= quadric_scale(t) <= 2.0**1022:
+            assert _bits(*got) == _bits(residual(t), quadric_scale(t))
+        else:
+            res, scale = residual(base), quadric_scale(base)
+            j = math.frexp(got[1])[1] - math.frexp(scale)[1]
+            assert _bits(*got) == _bits(_ldexp(res, j), math.ldexp(scale, j))
 
 
 class TestTorusAction:
@@ -368,11 +402,12 @@ class TestRescalingSolve:
         assert info.value.invariant_b == pytest.approx(3.0, rel=1e-15)
 
     def test_ratios_beyond_float_range_rejected(self):
-        # b_ij/a_ij underflows to 0 or overflows to inf: no float q exists.
+        # b_ij/a_ij underflows to 0 or overflows to inf: no float q_i*q_j
+        # exists, and either way the error says so.
         a = SixTuple(*[1e300 * v for v in SQUARE_CHORDS])
         b = SixTuple(*[1e-300 * v for v in SQUARE_CHORDS])
         for x, y in ((a, b), (b, a)):
-            with pytest.raises(DegenerateError):
+            with pytest.raises(DegenerateError, match="rescaling leaves the float range"):
                 rescaling_solve(x, y)
 
     def test_ratio_tuple_zero_rejected(self):
