@@ -7,12 +7,15 @@ rescaling acts on minors exactly as the torus action, and column
 permutation relabels them with the antisymmetric sign P_ji = -P_ij.
 
 numpy only holds a matrix's rows (read-only, floats unless complex) and
-applies the column actions; minors() and reconstruct() work on the eight
-entries as Python floats or complex numbers; minors() by relations._minors.
+applies the column actions; the finiteness check and minors() work on the
+eight entries as Python floats or complex numbers, minors() by
+relations._minors.  reconstruct() reads P_kl through a table built at
+import, one row per pivot pair: each entry's storage slot and sign.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,8 @@ from .relations import DEFAULT_TOL, PAIRS, SixTuple, _minors, is_on_quadric, rel
 
 @dataclass(frozen=True)
 class Matrix2x4:
-    """A 2x4 matrix of real or complex entries."""
+    """A 2x4 matrix of real or complex entries, held as a read-only copy; the
+    eight entries are checked finite as Python numbers, by 0.0*v as SixTuple is."""
 
     rows: np.ndarray
 
@@ -32,9 +36,11 @@ class Matrix2x4:
             raise DomainError(f"expected a 2x4 matrix, got shape {arr.shape}")
         if arr.dtype.kind != "c":
             arr = arr.astype(float, copy=False)
-        if not np.isfinite(arr).all():
+        (x1, x2, x3, x4), (y1, y2, y3, y4) = arr.tolist()
+        if not cmath.isfinite(0.0 * x1 + 0.0 * x2 + 0.0 * x3 + 0.0 * x4
+                              + 0.0 * y1 + 0.0 * y2 + 0.0 * y3 + 0.0 * y4):
             raise DomainError("matrix entries must be finite")
-        arr.flags.writeable = False
+        arr.setflags(write=False)
         object.__setattr__(self, "rows", arr)
 
 
@@ -43,16 +49,25 @@ def minors(m: Matrix2x4) -> SixTuple:
     return SixTuple(*_minors(*zip(*m.rows.tolist())))
 
 
+# P_kl for k != l as (storage slot, negated), by P_lk = -P_kl; then one row per
+# pivot pair (i, j), in storage order: i, j and each other column k, 0-based,
+# with P_kj = -P_jk and P_ik.
+_SIGNED = {pair: (n, neg) for n, (i, j) in enumerate(PAIRS)
+           for pair, neg in (((i, j), False), ((j, i), True))}
+_PIVOTS = tuple((i - 1, j - 1, tuple((k - 1, _SIGNED[k, j], _SIGNED[i, k]) for k in (1, 2, 3, 4)
+                                     if k not in (i, j))) for i, j in PAIRS)
+
+
 def reconstruct(p: SixTuple, tol: float = DEFAULT_TOL) -> Matrix2x4:
     """A matrix whose minors reproduce an on-quadric six-tuple.
 
     Pivots on the largest-magnitude entry P_ij (ties by index order) and
     solves in the relabeled frame where the pivot pair comes first: columns
     (1,0), (0,Q12), (-Q23/Q12, Q13), (-Q24/Q12, Q14) reproduce all minors,
-    the last one by the quadric relation itself.  The all-zero tuple maps to
-    the zero matrix.
+    the last one by the quadric relation itself (P_lk = -P_kl by unary
+    minus).  The all-zero tuple maps to the zero matrix.
     """
-    if all(v == 0 for v in p):
+    if not any(p):
         return Matrix2x4(np.zeros((2, 4)))
     if not is_on_quadric(p, tol):
         raise OffQuadricError(
@@ -60,19 +75,16 @@ def reconstruct(p: SixTuple, tol: float = DEFAULT_TOL) -> Matrix2x4:
             residual=residual(p),
         )
     vals = [complex(v) for v in p] if any(isinstance(v, complex) for v in p) else p
-    # Entries P_kl for both orders k, l, with P_lk = -P_kl.
-    entry = {}
-    for (k, l), v in zip(PAIRS, vals):
-        entry[k, l] = v
-        entry[l, k] = -v
     mags = [abs(v) for v in vals]
-    i, j = PAIRS[mags.index(max(mags))]
-    q12 = entry[i, j]
-    cols = {i: (1.0, 0.0), j: (0.0, q12)}
-    for k in (1, 2, 3, 4):
-        if k != i and k != j:
-            cols[k] = (-entry[j, k] / q12, entry[i, k])
-    return Matrix2x4(list(zip(*(cols[k] for k in (1, 2, 3, 4)))))
+    pivot = mags.index(max(mags))
+    i, j, rest = _PIVOTS[pivot]
+    q12 = vals[pivot]
+    x, y = [0.0] * 4, [0.0] * 4
+    x[i], y[j] = 1.0, q12
+    for k, (a, neg_a), (b, neg_b) in rest:
+        x[k] = (-vals[a] if neg_a else vals[a]) / q12
+        y[k] = -vals[b] if neg_b else vals[b]
+    return Matrix2x4((x, y))
 
 
 def column_rescale(m: Matrix2x4, s) -> Matrix2x4:

@@ -240,7 +240,11 @@ def geodesic_ideal_endpoints(w1: UhpPoint, w2: UhpPoint) -> tuple[UhpPoint, UhpP
     """Ideal endpoints of the half-plane geodesic through two interior points.
 
     The first endpoint returned is the one beyond w1, the second beyond w2,
-    so the order along the geodesic is (first, w1, w2, second).
+    so the order along the geodesic is (first, w1, w2, second).  Nothing
+    cancels: c = (re1+re2)/2 + (im1-im2)(im1+im2)/(2(re1-re2)), the far end
+    is c + sign(c)*R and the near one re1*(2c - re1) - im1^2 over it.  Where
+    c or that product overflows (a height above about 1.3e154, or
+    |im1^2 - im2^2| above 1.8e308*|re1 - re2|), UhpPoint raises DomainError.
     """
     if w1.is_ideal or w2.is_ideal:
         raise DomainError("geodesic endpoints require interior points")
@@ -252,11 +256,10 @@ def geodesic_ideal_endpoints(w1: UhpPoint, w2: UhpPoint) -> tuple[UhpPoint, UhpP
             return (foot, UhpPoint.infinity())
         return (UhpPoint.infinity(), foot)
     # Semicircle centered on the real axis through both points.
-    sq1 = w1.re * w1.re + w1.im * w1.im
-    sq2 = w2.re * w2.re + w2.im * w2.im
-    c = (sq1 - sq2) / (2.0 * (w1.re - w2.re))
-    radius = math.hypot(w1.re - c, w1.im)
-    left, right = UhpPoint(c - radius, 0.0), UhpPoint(c + radius, 0.0)
+    c = 0.5 * (w1.re + w2.re) + (w1.im - w2.im) * (w1.im + w2.im) / (2.0 * (w1.re - w2.re))
+    far = c + math.copysign(math.hypot(w1.re - c, w1.im), c)
+    near = (w1.re * (2.0 * c - w1.re) - w1.im * w1.im) / far
+    left, right = (UhpPoint(v, 0.0) for v in sorted((near, far)))
     if w1.re < w2.re:
         return (left, right)
     return (right, left)

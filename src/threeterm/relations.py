@@ -177,10 +177,11 @@ def cross_ratio_invariant(t: SixTuple) -> Scalar:
     Otherwise they are formed from frexp mantissas and exponents, so t and
     2^k*t give the same invariant anywhere in the float range.
     """
-    num, den = t.a12 * t.a34, t.a23 * t.a14
+    a12, _, a14, a23, _, a34 = t
+    num, den = a12 * a34, a23 * a14
     if _TINY <= abs(num) <= _HUGE and _TINY <= abs(den) <= _HUGE:
         return num / den
-    (m_num, e_num), (m_den, e_den) = _scaled_product(t.a12, t.a34), _scaled_product(t.a23, t.a14)
+    (m_num, e_num), (m_den, e_den) = _scaled_product(a12, a34), _scaled_product(a23, a14)
     if m_den == 0:
         raise DegenerateError("cross-ratio invariant undefined: a23*a14 = 0")
     return _ldexp(m_num / m_den, e_num - e_den)
@@ -204,9 +205,10 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
     tuple misses the quadric, and NotSameOrbitError when the invariants
     disagree (or the reconstructed q fails to match within tol).
     """
-    if any(v == 0 for v in a + b):
+    if 0 in a or 0 in b:
         raise DegenerateError("rescaling requires all twelve entries nonzero")
-    c12, c13, c14, c23 = b.a12 / a.a12, b.a13 / a.a13, b.a14 / a.a14, b.a23 / a.a23
+    (a12, a13, a14, a23, a24, a34), (b12, b13, b14, b23, _, _) = a, b
+    c12, c13, c14, c23 = b12 / a12, b13 / a13, b14 / a14, b23 / a23
     for name, t in (("first", a), ("second", b)):
         if not is_on_quadric(t, tol):
             raise OffQuadricError(
@@ -235,9 +237,11 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
         ) from None
     # Postcondition: every pair product matches within tol, else the inputs
     # were not genuinely orbit-equivalent at this tolerance.
-    qs = (None, *q)
-    for (i, j), av, bv in zip(PAIRS, a, b):
-        if abs(qs[i] * qs[j] * av - bv) > tol * abs(bv):
+    q1, q2, q3, q4 = q
+    images = (q1 * q2 * a12, q1 * q3 * a13, q1 * q4 * a14,
+              q2 * q3 * a23, q2 * q4 * a24, q3 * q4 * a34)
+    for (i, j), qa, bv in zip(PAIRS, images, b):
+        if abs(qa - bv) > tol * abs(bv):
             raise NotSameOrbitError(
                 f"no rescaling reproduces entry {i}{j} within tolerance {tol}",
                 invariant_a=inv_a,

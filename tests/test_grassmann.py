@@ -18,6 +18,7 @@ from threeterm.grassmann import (
 )
 from threeterm.measurements import measure_all
 from threeterm.relations import (
+    DEFAULT_TOL,
     PAIRS,
     SixTuple,
     TorusElement,
@@ -25,6 +26,7 @@ from threeterm.relations import (
     cross_ratio_points,
     is_on_quadric,
     relative_residual,
+    residual,
     torus_apply,
 )
 
@@ -82,6 +84,38 @@ def numpy_reconstruct_rows(p: SixTuple) -> np.ndarray:
     return result
 
 
+def dict_reconstruct(p: SixTuple, tol: float = DEFAULT_TOL) -> Matrix2x4:
+    """reconstruct() as it was written with a per-call dict of P_kl and P_lk = -P_kl."""
+    if all(v == 0 for v in p):
+        return Matrix2x4(np.zeros((2, 4)))
+    if not is_on_quadric(p, tol):
+        raise OffQuadricError(
+            f"tuple is off the quadric: relative residual {relative_residual(p)}",
+            residual=residual(p),
+        )
+    vals = [complex(v) for v in p] if any(isinstance(v, complex) for v in p) else p
+    entry = {}
+    for (k, l), v in zip(PAIRS, vals):
+        entry[k, l] = v
+        entry[l, k] = -v
+    mags = [abs(v) for v in vals]
+    i, j = PAIRS[mags.index(max(mags))]
+    q12 = entry[i, j]
+    cols = {i: (1.0, 0.0), j: (0.0, q12)}
+    for k in (1, 2, 3, 4):
+        if k != i and k != j:
+            cols[k] = (-entry[j, k] / q12, entry[i, k])
+    return Matrix2x4(list(zip(*(cols[k] for k in (1, 2, 3, 4)))))
+
+
+def mixed(p, as_complex) -> SixTuple:
+    """p with entry k made complex where as_complex[k], else real where its imaginary part is 0."""
+    return SixTuple(*[
+        complex(v) if c else (v.real if complex(v).imag == 0 else v)
+        for v, c in zip(p, as_complex)
+    ])
+
+
 def bits(v) -> tuple[str, str]:
     """The real and imaginary parts' bit patterns (tells -0.0 from 0.0)."""
     v = complex(v)
@@ -111,6 +145,18 @@ class TestMatrixType:
     def test_non_finite_rejected(self, bad):
         with pytest.raises(DomainError):
             Matrix2x4([[1, 2, 3, bad], [4, 5, 6, 7]])
+
+    @pytest.mark.parametrize("container", [list, tuple, np.array])
+    @pytest.mark.parametrize("bad", [
+        math.inf, -math.inf, math.nan, complex(1.0, math.nan), complex(1.0, math.inf),
+        complex(-0.0, -math.inf),
+    ])
+    def test_non_finite_rejected_at_every_position(self, bad, container):
+        for k in range(8):
+            flat = [1.0, -2.0, 3.0, 0.0, 5.0, -0.0, 7.0, 8.0]
+            flat[k] = bad
+            with pytest.raises(DomainError, match="finite"):
+                Matrix2x4(container([container(flat[:4]), container(flat[4:])]))
 
     @pytest.mark.parametrize("shape", [(2, 3), (4, 2), (8,), (2, 4, 1)])
     def test_wrong_shape_rejected(self, shape):
@@ -232,10 +278,7 @@ class TestNumpyParity:
         # by different formulas, so a complex entry may differ by one ulp in
         # its real or imaginary part.  Entries with a zero imaginary part are
         # drawn as floats or as complex numbers, so tuples of both types occur.
-        p = SixTuple(*[
-            complex(v) if c else (v.real if complex(v).imag == 0 else v)
-            for v, c in zip(minors(m), as_complex)
-        ])
+        p = mixed(minors(m), as_complex)
         assume(any(v != 0 for v in p) and is_on_quadric(p, 1e-10))
         with np.errstate(over="ignore", invalid="ignore"):
             want = numpy_reconstruct_rows(p)
@@ -249,6 +292,58 @@ class TestNumpyParity:
             return
         for g, w in zip(got.flat, want.flat):
             assert within_one_ulp(g.real, w.real) and within_one_ulp(g.imag, w.imag)
+
+
+def reconstruct_outcome(build, p: SixTuple):
+    """The rows' dtype and bit patterns, or the rejection's type, message and residual."""
+    try:
+        m = build(p)
+    except OffQuadricError as exc:
+        return type(exc), str(exc), bits(exc.residual)
+    return m.rows.dtype, [bits(v) for v in m.rows.flat]
+
+
+# Pivot magnitudes that differ, four tied at 1 (in slots 12, 14, 23, 34),
+# signed zeros in the entries and the minors, and complex entries.
+PIN_MATRICES = (
+    [[1.0, 0.0, 2.0, 3.0], [0.0, 1.0, 5.0, 7.0]],
+    [[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0]],
+    [[1.0, -0.0, 2.0, 0.0], [-0.0, 1.0, -0.0, 3.0]],
+    [[2.0, 1j, 1.0 + 1j, -1.0], [0.5, 1.0, -1j, 3.0]],
+)
+
+
+@st.composite
+def pin_tuples(draw) -> SixTuple:
+    """Minors of a matrix with entries made real or complex one by one, or
+    six free entries, which are mostly off the quadric."""
+    as_complex = draw(st.lists(st.booleans(), min_size=6, max_size=6))
+    if draw(st.booleans()):
+        return mixed(minors(draw(real_or_complex_matrices())), as_complex)
+    return mixed(draw(st.lists(entries, min_size=6, max_size=6)), as_complex)
+
+
+class TestReconstructPin:
+    """reconstruct() against the dict-based form it replaced: the same bits."""
+
+    def test_every_pivot_slot_and_tie(self):
+        slots, ties = set(), 0
+        for rows in PIN_MATRICES:
+            for sigma in permutations((1, 2, 3, 4)):
+                p = minors(column_permute(Matrix2x4(rows), sigma))
+                for as_complex in ([False] * 6, [True] * 6, [True, False] * 3):
+                    q = mixed(p, as_complex)
+                    mags = [abs(v) for v in q]
+                    slots.add(mags.index(max(mags)))
+                    ties += mags.count(max(mags)) > 1
+                    want = reconstruct_outcome(dict_reconstruct, q)
+                    assert reconstruct_outcome(reconstruct, q) == want
+        assert slots == set(range(6)) and ties
+
+    @settings(max_examples=500, deadline=None)
+    @given(p=pin_tuples())
+    def test_bit_identical(self, p):
+        assert reconstruct_outcome(reconstruct, p) == reconstruct_outcome(dict_reconstruct, p)
 
 
 class TestColumnRescale:

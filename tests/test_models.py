@@ -396,6 +396,28 @@ class TestDistances:
             bound += 2 * (U * s / (im * im * want)) ** 2
         assert abs(hyp_distance_crossratio(w1, w2) - want) <= bound * want
 
+    @settings(max_examples=300, deadline=None)
+    @given(re=st.floats(min_value=-10.0, max_value=10.0),
+           log_im=st.tuples(st.floats(min_value=-3.0, max_value=3.0),
+                            st.floats(min_value=-3.0, max_value=3.0)),
+           log_dre=st.floats(min_value=-9.0, max_value=1.0), left=st.booleans())
+    def test_side_by_side_against_mpmath(self, re, log_im, log_dre, left):
+        # Heights in [1e-3, 1e3] and |re1 - re2| in [1e-9, 10], against
+        # 2 asinh(|w1-w2| / (2 sqrt(y1 y2))) at 50 digits.  Both endpoints are
+        # formed without cancellation (see geodesic_ideal_endpoints), so a
+        # few roundings remain in them, the cross-ratio and its log: 8 U.  The
+        # worst of 23 000 random pairs and 20 000 drawn here was 5.7 U; with
+        # the centre taken from |w1|^2 - |w2|^2 it was 1e15 U.
+        dre = 10.0**log_dre
+        w1 = UhpPoint(re, 10.0 ** log_im[0])
+        w2 = UhpPoint(re - dre if left else re + dre, 10.0 ** log_im[1])
+        assume(w1.re != w2.re)
+        with mpmath.workdps(50):
+            x1, y1, x2, y2 = (mpmath.mpf(v) for v in (w1.re, w1.im, w2.re, w2.im))
+            dist = mpmath.sqrt((x1 - x2) ** 2 + (y1 - y2) ** 2)
+            want = float(2 * mpmath.asinh(dist / (2 * mpmath.sqrt(y1 * y2))))
+        assert abs(hyp_distance_crossratio(w1, w2) - want) <= 8 * U * want
+
     def test_crossratio_matches_hyperboloid(self):
         rng = np.random.default_rng(19)
         for _ in range(1000):

@@ -356,6 +356,14 @@ class TestRescalingSolve:
         with pytest.raises(DegenerateError):
             rescaling_solve(SixTuple(0, 2, 1, 1, 2, 1), SixTuple(1, 2, 1, 1, 2, 1))
 
+    @pytest.mark.parametrize("zero", [0.0, -0.0, 0j, complex(-0.0, 0.0)])
+    def test_zero_entry_rejected_at_every_position(self, zero):
+        for k in range(12):
+            entries = [*SQUARE_CHORDS, *SQUARE_CHORDS]
+            entries[k] = zero
+            with pytest.raises(DegenerateError, match="all twelve entries nonzero"):
+                rescaling_solve(SixTuple(*entries[:6]), SixTuple(*entries[6:]))
+
     def test_off_quadric_rejected(self):
         good = SQUARE_CHORDS
         bad = SixTuple(1, 1, 1, 1, 1, 1)
