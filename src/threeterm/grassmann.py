@@ -9,26 +9,33 @@ permutation relabels them with the antisymmetric sign P_ji = -P_ij.
 numpy only holds a matrix's rows (read-only, floats unless complex) and
 applies the column actions; the finiteness check and minors() work on the
 eight entries as Python floats or complex numbers, minors() by
-relations._minors.  reconstruct() reads P_kl through a table built at
-import, one row per pivot pair: each entry's storage slot and sign.
+relations._minors.  Matrix2x4.__post_init__ keeps its name for the
+benchmark's tracer, as in models.  reconstruct() reads P_kl through a table
+built at import, one row per pivot pair: each entry's storage slot and sign.
 """
 
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, OffQuadricError
-from .relations import DEFAULT_TOL, PAIRS, SixTuple, _minors, is_on_quadric, relative_residual, residual
+from .relations import DEFAULT_TOL, PAIRS, SixTuple, _Frozen, _minors, is_on_quadric, relative_residual, residual
 
-@dataclass(frozen=True)
-class Matrix2x4:
+
+class Matrix2x4(_Frozen):
     """A 2x4 matrix of real or complex entries, held as a read-only copy; the
     eight entries are checked finite as Python numbers, by 0.0*v as SixTuple is."""
 
-    rows: np.ndarray
+    __slots__ = ("rows",)
+
+    def __init__(self, rows):
+        object.__setattr__(self, "rows", rows)
+        self.__post_init__()
+
+    def _key(self) -> tuple:
+        return (tuple(map(tuple, self.rows.tolist())),)
 
     def __post_init__(self):
         arr = np.array(self.rows)

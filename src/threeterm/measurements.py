@@ -19,39 +19,36 @@ independent paths (circle centres, light-cone pairings of the horocycles).
 
 A configuration computes its tangency points and centres once, at
 construction.  On first use it builds its four horocycles from those stored
-tangency points, with no second cos/sin of the boundary angles.
+tangency points, with no second cos/sin of the boundary angles, into a slot.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
-from functools import cached_property
 
 from .errors import ConfigurationError
 from .horocycles import _horocycle_at, horocycle_to_circle, lambda_length
-from .models import LightConePoint, MinkowskiVec, lightcone_to_boundary
-from .relations import _PAIRS0, SixTuple, TorusElement, _minors, torus_apply
+from .models import LightConePoint, lightcone_to_boundary
+from .relations import _PAIRS0, SixTuple, TorusElement, _Frozen, _minors, torus_apply
 
 # Circles must clear each other by this much to count as disjoint.
 DISJOINT_MARGIN = 1e-9
 
 
-@dataclass(frozen=True)
-class ConcyclicConfig:
+class ConcyclicConfig(_Frozen):
     """Four half-angles (strictly increasing in [0, pi]) and four radii in (0, 1).
 
     Construction rejects overlapping or tangent circle pairs; every
     measurement below assumes disjointness.  It also sets tangency_points
-    (A_i) and centers (C_i), 0-based tuples of (x, y) pairs.
+    (A_i) and centers (C_i), 0-based tuples of (x, y) pairs.  Only alpha
+    and r take part in equality and hashing.
     """
 
-    alpha: tuple[float, float, float, float]
-    r: tuple[float, float, float, float]
+    __slots__ = ("alpha", "r", "tangency_points", "centers", "_horocycles")
 
-    def __post_init__(self):
-        alpha, r = tuple(map(float, self.alpha)), tuple(map(float, self.r))
+    def __init__(self, alpha, r):
+        alpha, r = tuple(map(float, alpha)), tuple(map(float, r))
         if len(alpha) != 4 or len(r) != 4:
             raise ConfigurationError("expected four half-angles and four radii")
         if not all(map(math.isfinite, alpha + r)):
@@ -63,16 +60,11 @@ class ConcyclicConfig:
             raise ConfigurationError(f"half-angles must increase strictly: {alpha}")
         if not (0.0 < min(r) and max(r) < 1.0):
             raise ConfigurationError(f"radii must lie in (0, 1): {r}")
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "r", r)
         points, centers = [], []
         for a, rk in zip(alpha, r):
             x, y = math.cos(2.0 * a), math.sin(2.0 * a)
             points.append((x, y))
             centers.append(((1.0 - rk) * x, (1.0 - rk) * y))
-        # Not fields: they take no part in equality or hashing.
-        object.__setattr__(self, "tangency_points", tuple(points))
-        object.__setattr__(self, "centers", tuple(centers))
         for i, j in _PAIRS0:
             (xi, yi), (xj, yj) = centers[i], centers[j]
             gap = math.hypot(xi - xj, yi - yj) - (r[i] + r[j])
@@ -80,6 +72,15 @@ class ConcyclicConfig:
                 raise ConfigurationError(
                     f"circles {i + 1} and {j + 1} overlap (gap {gap:.3e})"
                 )
+        init = object.__setattr__
+        init(self, "alpha", alpha)
+        init(self, "r", r)
+        init(self, "tangency_points", tuple(points))
+        init(self, "centers", tuple(centers))
+        init(self, "_horocycles", None)
+
+    def _key(self) -> tuple:
+        return self.alpha, self.r
 
     @classmethod
     def from_lightcone(cls, vectors) -> ConcyclicConfig:
@@ -91,29 +92,29 @@ class ConcyclicConfig:
         """
         alpha, r = [], []
         for vec in vectors:
-            point = LightConePoint(MinkowskiVec(*vec))
+            point = LightConePoint(*vec)
             alpha.append(lightcone_to_boundary(point).theta / 2.0)
             r.append(horocycle_to_circle(point).radius)
         if alpha[3] == 0.0:
             alpha[3] = math.pi
         return cls(alpha, r)
 
-    @cached_property
-    def _horocycles(self) -> tuple[LightConePoint, ...]:
-        r1, r2, r3, r4 = self.r
-        (x1, y1), (x2, y2), (x3, y3), (x4, y4) = self.tangency_points
-        if self.alpha[3] == math.pi:
-            # Boundary angle 2*pi is the point (1, 0), as BoundaryPoint wraps
-            # it to 0; its stored sine is -2.4e-16.
-            y4 = 0.0
-        return (_horocycle_at(x1, y1, r1), _horocycle_at(x2, y2, r2),
-                _horocycle_at(x3, y3, r3), _horocycle_at(x4, y4, r4))
-
     def horocycle(self, i: int) -> LightConePoint:
         """The circle H_i as a horocycle of the Poincare disk: its light-cone point (1-based)."""
         if not 1 <= i <= 4:
             raise IndexError(f"index out of range: {i}")
-        return self._horocycles[i - 1]
+        horocycles = self._horocycles
+        if horocycles is None:
+            r1, r2, r3, r4 = self.r
+            (x1, y1), (x2, y2), (x3, y3), (x4, y4) = self.tangency_points
+            if self.alpha[3] == math.pi:
+                # Boundary angle 2*pi is the point (1, 0), as BoundaryPoint
+                # wraps it to 0; its stored sine is -2.4e-16.
+                y4 = 0.0
+            horocycles = (_horocycle_at(x1, y1, r1), _horocycle_at(x2, y2, r2),
+                          _horocycle_at(x3, y3, r3), _horocycle_at(x4, y4, r4))
+            object.__setattr__(self, "_horocycles", horocycles)
+        return horocycles[i - 1]
 
 
 class MeasurementTable(namedtuple("MeasurementTable", ("d", "t", "lam", "p"))):

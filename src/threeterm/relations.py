@@ -9,6 +9,8 @@ below constructs the rescaling, unique up to a global sign.
 
 SixTuple and TorusElement are tuples that check their entries on every
 construction path, so the functions below unpack and iterate them directly.
+_Named is the package's value idiom for a few named entries, and _Frozen, a
+slotted value that rebuilds through its checks, the one for the rest.
 _minors is the package's one routine for the 2x2 minors of four columns.
 """
 
@@ -41,9 +43,16 @@ _TINY, _HUGE = sys.float_info.min, sys.float_info.max
 
 
 class _Named(tuple):
-    """An immutable tuple of scalars whose entries also have names (_fields)."""
+    """An immutable tuple whose entries also have names (_fields).
+
+    A subclass that sets _fields gets a read-only property per name.
+    """
 
     __slots__ = ()
+
+    def __init_subclass__(cls):
+        for k, name in enumerate(cls.__dict__.get("_fields", ())):
+            setattr(cls, name, property(itemgetter(k)))
 
     def __repr__(self):
         entries = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self))
@@ -58,6 +67,30 @@ class _Named(tuple):
         return tuple(self)
 
 
+class _Frozen:
+    """A value in __slots__ that cannot be assigned; it equals, hashes and
+    rebuilds (copy, pickle) by _key(), its constructor's arguments."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} is immutable: {name}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._key()}"
+
+    def __reduce__(self):
+        return type(self), self._key()
+
+
 class SixTuple(_Named):
     """Values indexed by the six pairs from {1,2,3,4}, in storage order.
 
@@ -68,7 +101,6 @@ class SixTuple(_Named):
 
     __slots__ = ()
     _fields = ("a12", "a13", "a14", "a23", "a24", "a34")
-    a12, a13, a14, a23, a24, a34 = (property(itemgetter(k)) for k in range(6))
 
     def __new__(cls, a12, a13, a14, a23, a24, a34):
         self = tuple.__new__(cls, (a12, a13, a14, a23, a24, a34))
@@ -85,7 +117,6 @@ class TorusElement(_Named):
 
     __slots__ = ()
     _fields = ("q1", "q2", "q3", "q4")
-    q1, q2, q3, q4 = (property(itemgetter(k)) for k in range(4))
 
     def __new__(cls, q1, q2, q3, q4):
         self = tuple.__new__(cls, (q1, q2, q3, q4))

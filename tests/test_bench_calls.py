@@ -9,9 +9,14 @@ that removes a name the benchmark uses fails here, not only in the slow
 (`run.SWEEP_CALLS`, `run.ORBIT_CALLS`) must record a span: the traced run
 takes a median over the operations that called each one.  The traced run
 also times `import threeterm.cli` and requires numpy in it; that probe runs
-here too.
+here too.  The tracer replaces each patched attribute by a plain function,
+which binds to an instance exactly as the original does only if that
+original is a plain function too, not a staticmethod, classmethod or
+property.
 """
 
+import inspect
+import types
 from pathlib import Path
 
 import pytest
@@ -29,10 +34,28 @@ def bench(monkeypatch):
     return run, spans, workloads
 
 
+def patched_attributes(workloads, prog) -> list:
+    """The (owner, attribute) pairs `workloads.instrument` patches, recorded without patching."""
+    sites = []
+
+    class Recorder:
+        def patch(self, owner, attr, name):
+            sites.append((owner, attr))
+
+    workloads.instrument(Recorder(), prog)
+    return sites
+
+
 @pytest.mark.parametrize("name", ["sweep", "orbit"])
 def test_one_traced_round(bench, name):
     run, spans, workloads = bench
     prog = workloads.load_program(ROOT / "src")
+    # Checked before any patch: restore() puts back what getattr returned,
+    # which for a staticmethod is the bare function.
+    sites = patched_attributes(workloads, prog)
+    assert sites
+    for owner, attr in sites:
+        assert isinstance(inspect.getattr_static(owner, attr), types.FunctionType), (owner, attr)
     tracer = spans.Tracer()
     api = workloads.calls(prog, tracer)
     workloads.instrument(tracer, prog)
@@ -46,7 +69,11 @@ def test_one_traced_round(bench, name):
     assert failed == 0
     assert tracer.spans and None not in tracer.spans
     reported = run.SWEEP_CALLS if name == "sweep" else run.ORBIT_CALLS
-    assert set(reported) <= {span[1] for span in tracer.spans}
+    names = {span[1] for span in tracer.spans}
+    assert set(reported) <= names
+    if name == "sweep":
+        # Each horocycle is built and checked once, as a LightConePoint.
+        assert "models.LightConePoint" in names
 
 
 def test_import_probe(bench):

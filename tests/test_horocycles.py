@@ -14,25 +14,25 @@ from threeterm.horocycles import (
     lambda_length,
 )
 from threeterm.measurements import ConcyclicConfig
-from threeterm.models import BoundaryPoint, LightConePoint, MinkowskiVec
+from threeterm.models import BoundaryPoint, LightConePoint
 
 SQRT2 = math.sqrt(2.0)
 
 
 def horocycle_at(theta: float, z: float) -> LightConePoint:
-    return LightConePoint(MinkowskiVec(z * math.cos(theta), z * math.sin(theta), z))
+    return LightConePoint(z * math.cos(theta), z * math.sin(theta), z)
 
 
 class TestCircleView:
     def test_worked_example(self):
-        circle = horocycle_to_circle(LightConePoint(MinkowskiVec(SQRT2, 0, SQRT2)))
+        circle = horocycle_to_circle(LightConePoint(SQRT2, 0, SQRT2))
         assert abs(circle.radius - 1 / 3) < 1e-15
         assert abs(circle.center[0] - 2 / 3) < 1e-15 and circle.center[1] == 0.0
 
     def test_radius_shrinks_under_scaling(self):
-        u = horocycle_at(1.0, 1.0).u
+        u = horocycle_at(1.0, 1.0)
         radii = [
-            horocycle_to_circle(LightConePoint(MinkowskiVec(s * u.x, s * u.y, s * u.z))).radius
+            horocycle_to_circle(LightConePoint(s * u.x, s * u.y, s * u.z)).radius
             for s in (1.0, 10.0, 1e4, 1e8)
         ]
         assert radii == sorted(radii, reverse=True)
@@ -53,7 +53,7 @@ class TestCircleView:
 
 class TestFromTangency:
     def test_worked_example(self):
-        u = horocycle_from_tangency(BoundaryPoint(0.0), 1 / 3).u
+        u = horocycle_from_tangency(BoundaryPoint(0.0), 1 / 3)
         assert abs(u.x - SQRT2) < 1e-15 and u.y == 0.0 and abs(u.z - SQRT2) < 1e-15
 
     def test_round_trip(self):
@@ -74,19 +74,22 @@ class TestFromTangency:
         # (z cos theta, z sin theta, z).
         b = BoundaryPoint(theta)
         z = (1.0 / r - 1.0) / SQRT2
-        old = LightConePoint(MinkowskiVec(z * math.cos(b.theta), z * math.sin(b.theta), z)).u
-        u = horocycle_from_tangency(b, r).u
+        old = LightConePoint(z * math.cos(b.theta), z * math.sin(b.theta), z)
+        u = horocycle_from_tangency(b, r)
+        assert type(u) is LightConePoint
         assert (u.x, u.y, u.z) == (old.x, old.y, old.z)
 
     def test_one_vector_per_horocycle(self, monkeypatch):
+        # A horocycle is one LightConePoint, checked once and kept as built:
+        # its z is hypot(x, y) already, so the check returns the tuple itself.
         calls = []
-        post_init = MinkowskiVec.__post_init__
-        monkeypatch.setattr(MinkowskiVec, "__post_init__",
+        post_init = LightConePoint.__post_init__
+        monkeypatch.setattr(LightConePoint, "__post_init__",
                             lambda self: calls.append(self) or post_init(self))
         cfg = ConcyclicConfig((0.1, 0.7, 1.6, 2.9), (1e-4, 0.2, 0.05, 0.4))
         horocycles = [cfg.horocycle(i) for i in range(1, 5)]
         assert len(calls) == 4
-        assert all(h.u is v for h, v in zip(horocycles, calls))
+        assert all(h is v for h, v in zip(horocycles, calls))
 
     @pytest.mark.parametrize("r", [1.0, 0.0, -0.2, 1.5])
     def test_radius_domain(self, r):
@@ -108,7 +111,7 @@ class TestLambdaLength:
 
     def test_common_ray_rejected(self):
         h = horocycle_at(1.2, 3.0)
-        scaled = LightConePoint(MinkowskiVec(4.5 * h.u.x, 4.5 * h.u.y, 4.5 * h.u.z))
+        scaled = LightConePoint(4.5 * h.x, 4.5 * h.y, 4.5 * h.z)
         with pytest.raises(DegenerateError):
             lambda_length(h, scaled)
 
@@ -137,8 +140,7 @@ class TestLambdaLength:
         # replacing u1 by s*u1 multiplies the lambda length by sqrt(s)
         h1, h2 = horocycle_at(0.0, z1), horocycle_at(theta, z2)
         base = lambda_length(h1, h2)
-        u = h1.u
-        scaled = lambda_length(LightConePoint(MinkowskiVec(s * u.x, s * u.y, s * u.z)), h2)
+        scaled = lambda_length(LightConePoint(s * h1.x, s * h1.y, s * h1.z), h2)
         assert abs(scaled - math.sqrt(s) * base) <= 1e-12 * scaled
 
     def test_sign_semantics(self):

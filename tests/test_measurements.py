@@ -89,7 +89,7 @@ class TestFromLightcone:
     def test_own_horocycles_give_back_the_config(self, cfg):
         # configs() draws half-angles 0 and pi too: tangencies at boundary
         # angles 0 and 2*pi, the wrap that reads back as pi.
-        vectors = [(u.x, u.y, u.z) for u in (cfg.horocycle(i).u for i in range(1, 5))]
+        vectors = [tuple(cfg.horocycle(i)) for i in range(1, 5)]
         back = ConcyclicConfig.from_lightcone(vectors)
         for got, want in zip(back.alpha + back.r, cfg.alpha + cfg.r):
             assert abs(got - want) <= 4 * math.ulp(want)
