@@ -251,7 +251,7 @@ def cmd_plucker_minors(args) -> int:
 def cmd_plucker_reconstruct(args) -> int:
     p = _read_sixtuple(args.file)
     matrix = reconstruct(p, tol=args.tol)
-    rows = [[_json_scalar(v) for v in row] for row in matrix.rows.tolist()]
+    rows = [[_json_scalar(v) for v in row] for row in matrix.entries]
     check = minors(matrix)
     doc = {
         "rows": rows,

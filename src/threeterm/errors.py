@@ -18,11 +18,12 @@ class ConfigurationError(GeometryError):
 
 
 class OffQuadricError(GeometryError):
-    """A six-tuple required to satisfy the 3-term relation does not."""
+    """A six-tuple required to satisfy the 3-term relation does not; it carries
+    the residual, the relative residual and the tolerance that it exceeded."""
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, relative_residual=None, tol=None):
         super().__init__(message)
-        self.residual = residual
+        self.residual, self.relative_residual, self.tol = residual, relative_residual, tol
 
 
 class NotSameOrbitError(GeometryError):

@@ -6,12 +6,11 @@ matrix; reconstruct() realizes that converse constructively.  Column
 rescaling acts on minors exactly as the torus action, and column
 permutation relabels them with the antisymmetric sign P_ji = -P_ij.
 
-numpy only holds a matrix's rows (read-only, floats unless complex) and
-applies the column actions; the finiteness check and minors() work on the
-eight entries as Python floats or complex numbers, minors() by
-relations._minors.  Matrix2x4.__post_init__ keeps its name for the
-benchmark's tracer, as in models.  reconstruct() reads P_kl through a table
-built at import, one row per pivot pair: each entry's storage slot and sign.
+A matrix is its eight entries: floats, or complex numbers if any is complex.
+The finiteness check, minors() and reconstruct() read only these; numpy serves
+the public constructor, the rows array (read-only, new on each read) and the
+column actions.  As in models, Matrix2x4.__post_init__ keeps its name for the
+benchmark's tracer.  reconstruct() reads P_kl from a table of slots and signs.
 """
 
 from __future__ import annotations
@@ -20,40 +19,50 @@ import cmath
 
 import numpy as np
 
-from .errors import DomainError, OffQuadricError
-from .relations import DEFAULT_TOL, PAIRS, SixTuple, _Frozen, _minors, is_on_quadric, relative_residual, residual
+from .errors import DomainError
+from .relations import DEFAULT_TOL, PAIRS, SixTuple, _Frozen, _minors, _off_quadric, is_on_quadric
 
 
 class Matrix2x4(_Frozen):
-    """A 2x4 matrix of real or complex entries, held as a read-only copy; the
-    eight entries are checked finite as Python numbers, by 0.0*v as SixTuple is."""
+    """A 2x4 matrix: entries, two 4-tuples of floats (complex if any entry is),
+    checked finite by 0.0*v as SixTuple is; rows, a read-only ndarray of them."""
 
-    __slots__ = ("rows",)
+    __slots__ = ("entries",)
 
-    def __init__(self, rows):
-        object.__setattr__(self, "rows", rows)
-        self.__post_init__()
-
-    def _key(self) -> tuple:
-        return (tuple(map(tuple, self.rows.tolist())),)
-
-    def __post_init__(self):
-        arr = np.array(self.rows)
+    def __new__(cls, rows):
+        arr = np.array(rows)
         if arr.shape != (2, 4):
             raise DomainError(f"expected a 2x4 matrix, got shape {arr.shape}")
-        if arr.dtype.kind != "c":
-            arr = arr.astype(float, copy=False)
-        (x1, x2, x3, x4), (y1, y2, y3, y4) = arr.tolist()
+        x, y = (arr if arr.dtype.kind == "c" else arr.astype(float, copy=False)).tolist()
+        return cls._from_entries(tuple(x), tuple(y))
+
+    @classmethod
+    def _from_entries(cls, x: tuple, y: tuple) -> Matrix2x4:
+        self = object.__new__(cls)
+        object.__setattr__(self, "entries", (x, y))
+        self.__post_init__()
+        return self
+
+    def _key(self) -> tuple:
+        return (self.entries,)
+
+    def __post_init__(self):
+        (x1, x2, x3, x4), (y1, y2, y3, y4) = self.entries
         if not cmath.isfinite(0.0 * x1 + 0.0 * x2 + 0.0 * x3 + 0.0 * x4
                               + 0.0 * y1 + 0.0 * y2 + 0.0 * y3 + 0.0 * y4):
             raise DomainError("matrix entries must be finite")
-        arr.setflags(write=False)
-        object.__setattr__(self, "rows", arr)
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The entries as a new read-only ndarray, float64 or complex128."""
+        rows = np.array(self.entries)
+        rows.setflags(write=False)
+        return rows
 
 
 def minors(m: Matrix2x4) -> SixTuple:
     """The six minors P_ij = x_i*y_j - x_j*y_i, in index order 12,13,14,23,24,34."""
-    return SixTuple(*_minors(*zip(*m.rows.tolist())))
+    return SixTuple(*_minors(*zip(*m.entries)))
 
 
 # P_kl for k != l as (storage slot, negated), by P_lk = -P_kl; then one row per
@@ -72,26 +81,26 @@ def reconstruct(p: SixTuple, tol: float = DEFAULT_TOL) -> Matrix2x4:
     solves in the relabeled frame where the pivot pair comes first: columns
     (1,0), (0,Q12), (-Q23/Q12, Q13), (-Q24/Q12, Q14) reproduce all minors,
     the last one by the quadric relation itself (P_lk = -P_kl by unary
-    minus).  The all-zero tuple maps to the zero matrix.
+    minus).  It computes in floats, or in complex numbers when an entry of p
+    is complex; the all-zero tuple maps to the zero matrix of floats.
     """
-    if not any(p):
-        return Matrix2x4(np.zeros((2, 4)))
     if not is_on_quadric(p, tol):
-        raise OffQuadricError(
-            f"tuple is off the quadric: relative residual {relative_residual(p)}",
-            residual=residual(p),
-        )
-    vals = [complex(v) for v in p] if any(isinstance(v, complex) for v in p) else p
+        raise _off_quadric(p, tol)
+    if not any(p):
+        return Matrix2x4._from_entries((0.0,) * 4, (0.0,) * 4)
+    # SixTuple holds Python numbers: the sum is complex exactly when an entry is.
+    to = complex if isinstance(sum(p, 0.0), complex) else float
+    vals = tuple(map(to, p))
     mags = [abs(v) for v in vals]
     pivot = mags.index(max(mags))
     i, j, rest = _PIVOTS[pivot]
     q12 = vals[pivot]
-    x, y = [0.0] * 4, [0.0] * 4
-    x[i], y[j] = 1.0, q12
+    x, y = [to(0.0)] * 4, [to(0.0)] * 4
+    x[i], y[j] = to(1.0), q12
     for k, (a, neg_a), (b, neg_b) in rest:
         x[k] = (-vals[a] if neg_a else vals[a]) / q12
         y[k] = -vals[b] if neg_b else vals[b]
-    return Matrix2x4((x, y))
+    return Matrix2x4._from_entries(tuple(x), tuple(y))
 
 
 def column_rescale(m: Matrix2x4, s) -> Matrix2x4:

@@ -106,9 +106,13 @@ class SixTuple(_Named):
         self = tuple.__new__(cls, (a12, a13, a14, a23, a24, a34))
         # 0.0*x is 0 for finite x and NaN for an infinite or NaN x, so the
         # sum is finite exactly when every entry is (real or complex).
-        if not cmath.isfinite(0.0 * a12 + 0.0 * a13 + 0.0 * a14
-                              + 0.0 * a23 + 0.0 * a24 + 0.0 * a34):
+        zero = 0.0 * a12 + 0.0 * a13 + 0.0 * a14 + 0.0 * a23 + 0.0 * a24 + 0.0 * a34
+        if not cmath.isfinite(zero):
             raise DegenerateError(f"six-tuple has a non-finite entry: {self}")
+        # Unless an entry is a numpy scalar the sum is a Python float or complex;
+        # numpy entries are stored as Python numbers, so complex64 is complex.
+        if type(zero) is not float and type(zero) is not complex:
+            self = tuple.__new__(cls, [v.item() if hasattr(v, "item") else v for v in self])
         return self
 
 
@@ -187,10 +191,18 @@ def relative_residual(t: SixTuple) -> float:
 
 
 def is_on_quadric(t: SixTuple, tol: float) -> bool:
-    if not tol > 0.0:
-        raise ValueError(f"tolerance must be positive: {tol}")
+    """Whether |residual| <= tol times the largest monomial; tol positive and finite."""
+    if not 0.0 < tol <= _HUGE:
+        raise ValueError(f"tolerance must be positive and finite: {tol}")
     res, scale = _residual_and_scale(t)
     return abs(res) <= tol * scale
+
+
+def _off_quadric(t: SixTuple, tol: float, what: str = "tuple") -> OffQuadricError:
+    """The error to raise for a tuple that is_on_quadric(t, tol) rejected."""
+    rel = relative_residual(t)
+    return OffQuadricError(f"{what} is off the quadric: relative residual {rel}",
+                           residual=residual(t), relative_residual=rel, tol=tol)
 
 
 def torus_apply(q: TorusElement, t: SixTuple) -> SixTuple:
@@ -236,16 +248,12 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
     tuple misses the quadric, and NotSameOrbitError when the invariants
     disagree (or the reconstructed q fails to match within tol).
     """
-    if 0 in a or 0 in b:
+    if 0.0 in a or 0.0 in b:
         raise DegenerateError("rescaling requires all twelve entries nonzero")
-    (a12, a13, a14, a23, a24, a34), (b12, b13, b14, b23, _, _) = a, b
-    c12, c13, c14, c23 = b12 / a12, b13 / a13, b14 / a14, b23 / a23
-    for name, t in (("first", a), ("second", b)):
-        if not is_on_quadric(t, tol):
-            raise OffQuadricError(
-                f"{name} tuple is off the quadric: relative residual {relative_residual(t)}",
-                residual=residual(t),
-            )
+    if not is_on_quadric(a, tol):
+        raise _off_quadric(a, tol, "first tuple")
+    if not is_on_quadric(b, tol):
+        raise _off_quadric(b, tol, "second tuple")
     inv_a = cross_ratio_invariant(a)
     inv_b = cross_ratio_invariant(b)
     if abs(inv_a - inv_b) > tol * max(abs(inv_a), abs(inv_b), 1.0):
@@ -254,6 +262,8 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
             invariant_a=inv_a,
             invariant_b=inv_b,
         )
+    (a12, a13, a14, a23, a24, a34), (b12, b13, b14, b23, _, _) = a, b
+    c12, c13, c14, c23 = b12 / a12, b13 / a13, b14 / a14, b23 / a23
     # A ratio c_ij that under- or overflowed gives a zero divisor here or a
     # zero or non-finite q_i, which TorusElement rejects.
     try:

@@ -1,6 +1,7 @@
 """Plucker minors, reconstruction, and the column actions."""
 
 import math
+import warnings
 from itertools import permutations
 
 import numpy as np
@@ -22,10 +23,12 @@ from threeterm.relations import (
     PAIRS,
     SixTuple,
     TorusElement,
+    _minors,
     cross_ratio_invariant,
     cross_ratio_points,
     is_on_quadric,
     relative_residual,
+    rescaling_solve,
     residual,
     torus_apply,
 )
@@ -170,7 +173,7 @@ class TestMatrixType:
         with pytest.raises(ValueError):
             m.rows[0, 0] = 9.0
         rows[0, 0] = 9.0
-        assert m.rows[0, 0] == 0.0
+        assert m.rows[0, 0] == 0.0 and m.entries == ((0.0, 1.0, 2.0, 3.0), (4.0, 5.0, 6.0, 7.0))
         assert not np.shares_memory(m.rows, rows)
 
     def test_real_input_promoted_to_float(self):
@@ -232,6 +235,7 @@ class TestReconstruct:
         with pytest.raises(OffQuadricError) as info:
             reconstruct(SixTuple(1, 1, 1, 1, 1, 1))
         assert info.value.residual == 1.0
+        assert info.value.relative_residual == 1.0 and info.value.tol == DEFAULT_TOL
 
     def test_random_round_trips(self):
         rng = np.random.default_rng(149)
@@ -261,6 +265,80 @@ class TestReconstruct:
         for _ in range(200):
             p = minors(Matrix2x4(rng.normal(size=(2, 4)) + 1j * rng.normal(size=(2, 4))))
             assert max_minor_dev(p, minors(reconstruct(p))) <= 1e-10
+
+
+# Entry types a six-tuple may hold, each applied to an integer value.
+SCALAR_TYPES = (int, bool, float, complex, np.int64, np.float64, np.float32, np.complex128,
+                np.complex64)
+
+
+@st.composite
+def typed_tuples(draw) -> SixTuple:
+    """The integer minors of a small integer matrix, exactly on the quadric,
+    each entry of a drawn type (bool where it is 0 or 1)."""
+    v = draw(st.lists(st.integers(-4, 4), min_size=8, max_size=8))
+    exact = _minors(*zip(v[:4], v[4:]))
+    kinds = draw(st.lists(st.sampled_from(SCALAR_TYPES), min_size=6, max_size=6))
+    return SixTuple(*[kind(p) if kind is not bool or p in (0, 1) else p for kind, p in zip(kinds, exact)])
+
+
+class TestEntries:
+    """A matrix is its eight Python numbers; rows is read from them on demand."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=typed_tuples())
+    def test_reconstruct_as_public_constructor(self, p):
+        # reconstruct() builds its matrix without numpy; it must equal the one
+        # the public constructor reads from its rows, down to the entry types.
+        m = reconstruct(p)
+        r = Matrix2x4(m.rows)
+        types = [type(v) for row in m.entries for v in row]
+        assert types == [type(v) for row in r.entries for v in row]
+        cplx = any(isinstance(v, complex) for v in p) and any(p)
+        assert set(types) == {complex if cplx else float}
+        assert m.rows.dtype == r.rows.dtype == (np.complex128 if cplx else np.float64)
+        assert m == r and hash(m) == hash(r)
+        assert [bits(v) for v in minors(m)] == [bits(v) for v in minors(r)]
+        assert {type(v) for v in minors(m)} == {complex if cplx else float}
+
+    @pytest.mark.parametrize("cplx", [False, True])
+    def test_round_trip_without_numpy(self, monkeypatch, cplx):
+        a = SixTuple(*(v * (1 + 1j) if cplx else v for v in (SQRT2, 2.0, SQRT2, SQRT2, 2.0, SQRT2)))
+        q = TorusElement(1.5, -0.5, 2.0, 0.25)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy called on the round trip")
+
+        with monkeypatch.context() as patch:
+            for name in ("array", "asarray", "zeros"):
+                patch.setattr(np, name, refuse)
+            b = torus_apply(q, a)
+            rescaling_solve(a, b)
+            m = reconstruct(b)
+            assert max_minor_dev(b, minors(m)) <= 1e-12
+            with pytest.raises(AssertionError):
+                m.rows
+        rows = m.rows
+        assert not rows.flags.writeable and rows.dtype == (np.complex128 if cplx else np.float64)
+        assert rows.tolist() == [list(row) for row in m.entries]
+
+    def test_numpy_scalars_stored_as_python_numbers(self):
+        # complex64 monomials of 1e-50 underflow to zero; as Python complex
+        # numbers the tuple is judged at unit scale and misses the quadric.
+        vals = (1e-25j, 1e-25, 1e-25, 1e-25j, 1e-25, 1e-25)
+        t = SixTuple(*map(np.complex64, vals))
+        assert {type(v) for v in t} == {complex}
+        assert relative_residual(t) == pytest.approx(relative_residual(SixTuple(*vals)), rel=1e-6)
+        assert not is_on_quadric(t, DEFAULT_TOL)
+        with pytest.raises(OffQuadricError):
+            reconstruct(t)
+        # Neither a float32 scale nor reconstruct()'s overflowing entry sum
+        # raises a numpy warning: both are formed from Python floats.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert is_on_quadric(SixTuple(*map(np.float32, (1, 2, 3, 4, 5, 6))), 1.0)
+            big = SixTuple(*map(np.float64, (1e308, 1e308, 0, 0, 1, 1)))
+            assert max_minor_dev(big, minors(reconstruct(big))) <= 1e-15
 
 
 class TestNumpyParity:

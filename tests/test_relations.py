@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_config, square_config
 from threeterm.errors import DegenerateError, NotSameOrbitError, OffQuadricError
+from threeterm.grassmann import reconstruct
 from threeterm.measurements import measure_all
 from threeterm.relations import (
     PAIRS,
@@ -118,6 +119,17 @@ class TestResidual:
     def test_nan_tol_rejected(self):
         with pytest.raises(ValueError):
             is_on_quadric(SixTuple(1, 2, 3, 4, 5, 6), math.nan)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+    def test_tol_positive_and_finite_for_every_caller(self, tol):
+        # Also for the all-zero tuple, whose margin tol*0 is NaN at tol = inf.
+        zero = SixTuple(0, 0, 0, 0, 0, 0)
+        calls = [lambda: is_on_quadric(zero, tol), lambda: is_on_quadric(SQUARE_CHORDS, tol),
+                 lambda: rescaling_solve(SQUARE_CHORDS, SQUARE_CHORDS, tol),
+                 lambda: reconstruct(zero, tol), lambda: reconstruct(SQUARE_CHORDS, tol)]
+        for call in calls:
+            with pytest.raises(ValueError, match="tolerance must be positive and finite"):
+                call()
 
     def test_scale_is_largest_monomial(self):
         # No floor at 1: a tuple of tiny entries is judged by its own monomials.
@@ -367,10 +379,23 @@ class TestRescalingSolve:
     def test_off_quadric_rejected(self):
         good = SQUARE_CHORDS
         bad = SixTuple(1, 1, 1, 1, 1, 1)
-        with pytest.raises(OffQuadricError):
+        with pytest.raises(OffQuadricError, match="first tuple is off the quadric"):
             rescaling_solve(bad, good)
-        with pytest.raises(OffQuadricError):
-            rescaling_solve(good, bad)
+        with pytest.raises(OffQuadricError, match="second tuple is off the quadric") as info:
+            rescaling_solve(good, bad, 1e-6)
+        # The margins behind the verdict: residual, relative residual, tolerance.
+        assert (info.value.residual, info.value.relative_residual, info.value.tol) == (1, 1.0, 1e-6)
+
+    def test_off_quadric_margins_at_underflow(self):
+        # The monomials underflow: the residual is the plain one, 0.0, and the
+        # relative residual is formed at unit scale.
+        bad = SixTuple(1e-170, 2e-170, 3e-170, 4e-170, 5e-170, 6e-170)
+        with pytest.raises(OffQuadricError) as info:
+            rescaling_solve(bad, bad)
+        exc = info.value
+        assert exc.residual == residual(bad) == 0.0
+        assert exc.relative_residual == relative_residual(bad) == pytest.approx(2 / 3)
+        assert str(exc) == f"first tuple is off the quadric: relative residual {exc.relative_residual}"
 
     def test_uniqueness_up_to_sign(self):
         # both roots of q1^2 solve the system; the solver's answer is one of

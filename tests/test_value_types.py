@@ -51,8 +51,8 @@ CASES = {
                         tuple.__new__(EuclideanCircle, ((0.0, 0.0), 0.0))),
     "ConcyclicConfig": (ConcyclicConfig(SQUARE_ALPHA, SQUARE_RADII), "alpha",
                         unchecked(ConcyclicConfig, alpha=SQUARE_ALPHA[::-1], r=SQUARE_RADII)),
-    "Matrix2x4": (Matrix2x4([[1, 2, 3, 4], [5, 6, 7, 8j]]), "rows",
-                  unchecked(Matrix2x4, rows=np.array([[1.0, 2.0, 3.0, math.inf], [5.0, 6.0, 7.0, 8.0]]))),
+    "Matrix2x4": (Matrix2x4([[1, 2, 3, 4], [5, 6, 7, 8j]]), "entries",
+                  unchecked(Matrix2x4, entries=((1.0, 2.0, 3.0, math.inf), (5.0, 6.0, 7.0, 8.0)))),
 }
 
 REBUILDS = {
