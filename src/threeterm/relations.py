@@ -12,6 +12,8 @@ construction path, so the functions below unpack and iterate them directly.
 _Named is the package's value idiom for a few named entries, and _Frozen, a
 slotted value that rebuilds through its checks, the one for the rest.
 _minors is the package's one routine for the 2x2 minors of four columns.
+A rejection raises OffQuadricError or NotSameOrbitError with its margins as
+fields; the error builds its message from them only when it is read.
 """
 
 from __future__ import annotations
@@ -137,16 +139,6 @@ def residual(t: SixTuple) -> Scalar:
     return a12 * a34 + a14 * a23 - a13 * a24
 
 
-def quadric_scale(t: SixTuple) -> float:
-    """Scale for relative residual tests: the largest of the three monomials.
-
-    No floor: scaling every entry by s multiplies the residual and this scale
-    alike by s^2, so the relative tests do not depend on the tuple's units.
-    """
-    a12, a13, a14, a23, a24, a34 = t
-    return max(abs(a12 * a34), abs(a14 * a23), abs(a13 * a24))
-
-
 def _ldexp(v: Scalar, e: int) -> Scalar:
     """v * 2**e, exact unless it underflows."""
     if isinstance(v, complex):
@@ -163,11 +155,12 @@ def _scaled_product(x: Scalar, y: Scalar) -> tuple[Scalar, int]:
     return _ldexp(x, -ex) * _ldexp(y, -ey), ex + ey
 
 
-def _residual_and_scale(t: SixTuple) -> tuple[Scalar, float]:
-    """residual(t) and quadric_scale(t), divided alike by a power of two.
+def _residual_and_scale(t: SixTuple) -> tuple[Scalar, float, int]:
+    """(r, s, e): residual(t) and the scale of the relative tests, the largest
+    monomial (no floor, so the tests do not depend on units), divided by 2^e.
 
-    The power is 1 while the largest monomial lies in [2^-969, 2^1022], where
-    no sum overflows and one below 2^-1022 is under 2^-53 of the largest.
+    e is 0, and r is residual(t) bit for bit, while s lies in [2^-969, 2^1022],
+    where no sum overflows and one below 2^-1022 is under 2^-53 of the largest.
     Outside it, the monomials are formed from frexp mantissas and exponents,
     scaled so that the largest is near 1: t and 2^k*t give the same answers.
     """
@@ -175,16 +168,16 @@ def _residual_and_scale(t: SixTuple) -> tuple[Scalar, float]:
     m1, m2, m3 = a12 * a34, a14 * a23, a13 * a24
     scale = max(abs(m1), abs(m2), abs(m3))
     if 2.0 ** -969 <= scale <= 2.0 ** 1022:
-        return m1 + m2 - m3, scale
+        return m1 + m2 - m3, scale, 0
     parts = [_scaled_product(a12, a34), _scaled_product(a14, a23), _scaled_product(a13, a24)]
     top = max((e for m, e in parts if m), default=0)
     m1, m2, m3 = (_ldexp(m, e - top) for m, e in parts)
-    return m1 + m2 - m3, max(abs(m1), abs(m2), abs(m3))
+    return m1 + m2 - m3, max(abs(m1), abs(m2), abs(m3)), top
 
 
 def relative_residual(t: SixTuple) -> float:
     """|residual| over the largest monomial; 0.0 when every monomial is zero."""
-    res, scale = _residual_and_scale(t)
+    res, scale, _ = _residual_and_scale(t)
     if scale == 0.0:
         return 0.0
     return abs(res) / scale
@@ -194,15 +187,14 @@ def is_on_quadric(t: SixTuple, tol: float) -> bool:
     """Whether |residual| <= tol times the largest monomial; tol positive and finite."""
     if not 0.0 < tol <= _HUGE:
         raise ValueError(f"tolerance must be positive and finite: {tol}")
-    res, scale = _residual_and_scale(t)
+    res, scale, _ = _residual_and_scale(t)
     return abs(res) <= tol * scale
 
 
 def _off_quadric(t: SixTuple, tol: float, what: str = "tuple") -> OffQuadricError:
-    """The error to raise for a tuple that is_on_quadric(t, tol) rejected."""
-    rel = relative_residual(t)
-    return OffQuadricError(f"{what} is off the quadric: relative residual {rel}",
-                           residual=residual(t), relative_residual=rel, tol=tol)
+    """The error for a tuple that is_on_quadric(t, tol) rejected, so of scale > 0."""
+    res, scale, e = _residual_and_scale(t)
+    return OffQuadricError(None, residual(t) if e else res, abs(res) / scale, tol, what)
 
 
 def torus_apply(q: TorusElement, t: SixTuple) -> SixTuple:
@@ -257,11 +249,7 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
     inv_a = cross_ratio_invariant(a)
     inv_b = cross_ratio_invariant(b)
     if abs(inv_a - inv_b) > tol * max(abs(inv_a), abs(inv_b), 1.0):
-        raise NotSameOrbitError(
-            f"cross-ratio invariants differ: {inv_a} vs {inv_b}",
-            invariant_a=inv_a,
-            invariant_b=inv_b,
-        )
+        raise NotSameOrbitError(None, inv_a, inv_b)
     (a12, a13, a14, a23, a24, a34), (b12, b13, b14, b23, _, _) = a, b
     c12, c13, c14, c23 = b12 / a12, b13 / a13, b14 / a14, b23 / a23
     # A ratio c_ij that under- or overflowed gives a zero divisor here or a
@@ -281,13 +269,9 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
     q1, q2, q3, q4 = q
     images = (q1 * q2 * a12, q1 * q3 * a13, q1 * q4 * a14,
               q2 * q3 * a23, q2 * q4 * a24, q3 * q4 * a34)
-    for (i, j), qa, bv in zip(PAIRS, images, b):
+    for pair, qa, bv in zip(PAIRS, images, b):
         if abs(qa - bv) > tol * abs(bv):
-            raise NotSameOrbitError(
-                f"no rescaling reproduces entry {i}{j} within tolerance {tol}",
-                invariant_a=inv_a,
-                invariant_b=inv_b,
-            )
+            raise NotSameOrbitError(None, inv_a, inv_b, pair, abs(qa - bv) / abs(bv), tol)
     return q
 
 

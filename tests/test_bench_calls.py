@@ -5,9 +5,11 @@ functions and methods to time them (see `workloads.calls` and
 `workloads.instrument`).  This runs one round of each in-process workload
 with those patches on and every check of `bench/checker.py`, so a change
 that removes a name the benchmark uses fails here, not only in the slow
-`bench/test_smoke.py`.  Every call name the traced run reports on
-(`run.SWEEP_CALLS`, `run.ORBIT_CALLS`) must record a span: the traced run
-takes a median over the operations that called each one.  The traced run
+`bench/test_smoke.py`.  The traced run reports each name of `run.SWEEP_CALLS`
+as a median over every `sweep` operation, and each name of `run.ORBIT_CALLS`
+as a median over the `orbit` round trips that called it.  So here every sweep
+operation must record a span of each sweep name, and at least one round trip
+a span of each orbit name: with none, that median fails.  The traced run
 also times `import threeterm.cli` and requires numpy in it; that probe runs
 here too.  The tracer replaces each patched attribute by a plain function,
 which binds to an instance exactly as the original does only if that
@@ -59,21 +61,30 @@ def test_one_traced_round(bench, name):
     tracer = spans.Tracer()
     api = workloads.calls(prog, tracer)
     workloads.instrument(tracer, prog)
+    kinds = {}
     try:
         workload = workloads.make(name, 1, prog, api, ROOT / "src")
         failed = 0
         for spec in workload.next_round():
+            # Numbered as the traced run numbers them, its check included.
+            tracer.op += 1
+            kinds[tracer.op] = spec["kind"] if name == "orbit" else name
             failed += workload.check(spec, workload.op(spec))
     finally:
         tracer.restore()
     assert failed == 0
     assert tracer.spans and None not in tracer.spans
-    reported = run.SWEEP_CALLS if name == "sweep" else run.ORBIT_CALLS
-    names = {span[1] for span in tracer.spans}
-    assert set(reported) <= names
+    _, calls, _ = spans.per_op(tracer.spans)
     if name == "sweep":
-        # Each horocycle is built and checked once, as a LightConePoint.
-        assert "models.LightConePoint" in names
+        for op in kinds:
+            assert set(run.SWEEP_CALLS) <= set(calls[op]), op
+            # Each horocycle is built and checked once, as a LightConePoint.
+            assert "models.LightConePoint" in calls[op]
+    else:
+        trips = [op for op, kind in kinds.items() if kind == "trip"]
+        assert trips
+        for n in run.ORBIT_CALLS:
+            assert any(calls[op].get(n) for op in trips), n
 
 
 def test_import_probe(bench):

@@ -22,7 +22,6 @@ from threeterm.relations import (
     cross_ratio_invariant,
     cross_ratio_points,
     is_on_quadric,
-    quadric_scale,
     relative_residual,
     rescaling_solve,
     residual,
@@ -54,6 +53,12 @@ moderate = st.one_of(st.just(0.0), st.floats(min_value=2.0**-20, max_value=2.0**
 def _bits(*values) -> list:
     """The values' exact bit patterns, the sign of a zero included."""
     return [(v.real.hex(), v.imag.hex()) if isinstance(v, complex) else v.hex() for v in values]
+
+
+def largest_monomial(t: SixTuple) -> float:
+    """max(|a12*a34|, |a14*a23|, |a13*a24|), the scale of the relative quadric tests."""
+    a12, a13, a14, a23, a24, a34 = t
+    return max(abs(a12 * a34), abs(a14 * a23), abs(a13 * a24))
 
 
 def away_from_band(t: SixTuple) -> bool:
@@ -134,7 +139,7 @@ class TestResidual:
     def test_scale_is_largest_monomial(self):
         # No floor at 1: a tuple of tiny entries is judged by its own monomials.
         tiny = SixTuple(1e-6, 2e-6, 3e-6, 4e-6, 5e-6, 6e-6)
-        assert quadric_scale(tiny) == pytest.approx(12e-12)
+        assert largest_monomial(tiny) == pytest.approx(12e-12)
         assert relative_residual(tiny) == pytest.approx(2.0 / 3.0)
         assert not is_on_quadric(tiny, 1e-10)
 
@@ -144,7 +149,7 @@ class TestResidual:
     @settings(max_examples=200, deadline=None)
     @given(t=six_tuples(), s=st.floats(min_value=1e-8, max_value=1e8))
     def test_membership_invariant_under_scaling(self, t, s):
-        assume(quadric_scale(t) > 1e-6 and away_from_band(t))
+        assume(largest_monomial(t) > 1e-6 and away_from_band(t))
         scaled = SixTuple(*[s * v for v in t])
         assert is_on_quadric(scaled, 1e-10) == is_on_quadric(t, 1e-10)
 
@@ -153,7 +158,7 @@ class TestResidual:
     def test_membership_invariant_under_powers_of_two(self, t, k):
         # 2^k*t has monomials 2^(2k) times those of t, far beyond the float
         # range at the ends of k; the answer must not change.
-        assume(quadric_scale(t) > 1e-6 and away_from_band(t))
+        assume(largest_monomial(t) > 1e-6 and away_from_band(t))
         scaled = SixTuple(*[math.ldexp(v, k) for v in t])
         assert is_on_quadric(scaled, 1e-10) == is_on_quadric(t, 1e-10)
 
@@ -177,21 +182,24 @@ class TestResidual:
     def test_residual_and_scale_bit_for_bit(self, parts, is_complex, k):
         # base has monomials in [2^-40, 2^42] (or 0) and 2^k*base, entries
         # exact, monomials anywhere from 2^-1120 to 2^1062.  Where the
-        # largest lies in the window the pair is (residual, quadric_scale)
-        # of the tuple itself; outside it, that of base times one power of
-        # two, which the frexp branch forms without rounding anew.
+        # largest lies in the window the pair is (residual, largest monomial)
+        # of the tuple itself, with exponent 0; outside it, that of base times
+        # 2^(2k - e), which the frexp branch forms without rounding anew.
         if is_complex:
             base = SixTuple(*[complex(re, im) for re, im in zip(parts[:6], parts[6:])])
         else:
             base = SixTuple(*parts[:6])
         t = SixTuple(*[_ldexp(v, k) for v in base])
-        got = _residual_and_scale(t)
-        if 2.0**-969 <= quadric_scale(t) <= 2.0**1022:
-            assert _bits(*got) == _bits(residual(t), quadric_scale(t))
+        *got, e = _residual_and_scale(t)
+        if 2.0**-969 <= largest_monomial(t) <= 2.0**1022:
+            assert e == 0
+            assert _bits(*got) == _bits(residual(t), largest_monomial(t))
         else:
-            res, scale = residual(base), quadric_scale(base)
+            res, scale = residual(base), largest_monomial(base)
             j = math.frexp(got[1])[1] - math.frexp(scale)[1]
             assert _bits(*got) == _bits(_ldexp(res, j), math.ldexp(scale, j))
+            if scale:
+                assert e == 2 * k - j
 
 
 class TestTorusAction:
@@ -235,7 +243,7 @@ class TestTorusAction:
     @settings(max_examples=200, deadline=None)
     @given(t=six_tuples(), q=st.tuples(*[nonzero_scalar] * 4))
     def test_preserves_quadric_membership(self, t, q):
-        assume(quadric_scale(t) > 1e-6 and away_from_band(t))
+        assume(largest_monomial(t) > 1e-6 and away_from_band(t))
         image = torus_apply(TorusElement(*q), t)
         assert is_on_quadric(image, 1e-10) == is_on_quadric(t, 1e-10)
 
@@ -350,6 +358,7 @@ class TestRescalingSolve:
             rescaling_solve(SQUARE_CHORDS, other)
         assert abs(info.value.invariant_a - 1.0) < 1e-12
         assert abs(info.value.invariant_b - 3.0) < 1e-12
+        assert info.value.pair is info.value.deviation is None
 
     def test_postcondition_names_the_entry(self):
         # b34 is off by 1e-9 of itself: the quadric residual (1e-11 of the
@@ -363,6 +372,20 @@ class TestRescalingSolve:
             rescaling_solve(a, b)
         assert info.value.invariant_a == 0.01
         assert abs(info.value.invariant_b - 0.01) <= 1e-10
+
+    def test_postcondition_carries_pair_and_deviation(self):
+        # The invariants 1e-6 and 1.001e-6 agree within tol*1 and both tuples
+        # are on the quadric, but q = (1, 1, 1, 1) misses b34 by 1e-3 of it.
+        a = SixTuple(1e-3, 1.0, 1.0, 1.0, 1.0 + 1e-6, 1e-3)
+        b = SixTuple(*a[:5], 1e-3 * (1.0 + 1e-3))
+        with pytest.raises(NotSameOrbitError) as info:
+            rescaling_solve(a, b, 1e-5)
+        exc = info.value
+        assert str(exc) == "no rescaling reproduces entry 34 within tolerance 1e-05"
+        assert exc.invariant_a == pytest.approx(1e-6) and exc.invariant_b == pytest.approx(1.001e-6)
+        assert exc.pair == (3, 4) and exc.tol == 1e-5
+        assert exc.deviation == pytest.approx(1e-3, rel=1e-3)
+        assert exc.deviation == abs(a[5] - b[5]) / abs(b[5])
 
     def test_zero_entry_rejected(self):
         with pytest.raises(DegenerateError):
@@ -396,6 +419,26 @@ class TestRescalingSolve:
         assert exc.residual == residual(bad) == 0.0
         assert exc.relative_residual == relative_residual(bad) == pytest.approx(2 / 3)
         assert str(exc) == f"first tuple is off the quadric: relative residual {exc.relative_residual}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.lists(st.one_of(nonzero_scalar, st.builds(complex, nonzero_scalar,
+                                                                nonzero_scalar)),
+                            min_size=6, max_size=6),
+           s=st.sampled_from([1.0, 1e-170, 1e170]))
+    def test_rejection_margins_bit_for_bit(self, entries, s):
+        # One pass gives the margins: plain monomials (s = 1), and ones that
+        # underflow (1e-170) or overflow (1e170), where the pass rescales and
+        # the residual is formed anew.  Each is the bits of the public functions.
+        t = SixTuple(*[s * v for v in entries])
+        assert (_residual_and_scale(t)[2] == 0) == (s == 1.0)
+        assume(not is_on_quadric(t, 1e-10))
+        want = _bits(residual(t), relative_residual(t))
+        for call in (lambda: rescaling_solve(t, t), lambda: rescaling_solve(SQUARE_CHORDS, t),
+                     lambda: reconstruct(t)):
+            with pytest.raises(OffQuadricError) as info:
+                call()
+            assert _bits(info.value.residual, info.value.relative_residual) == want
+            assert info.value.tol == 1e-10
 
     def test_uniqueness_up_to_sign(self):
         # both roots of q1^2 solve the system; the solver's answer is one of
