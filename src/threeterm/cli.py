@@ -4,19 +4,25 @@ Subcommands: measure, rescale, plucker minors, plucker reconstruct, render,
 crossratio.  Input documents are JSON; complex numbers are written as
 [re, im] pairs.  Exit codes: 0 success, 1 relation failure beyond tolerance,
 2 unparseable document or a --tol that is not a positive finite number,
-3 invalid configuration or degenerate values (a non-finite cross-ratio too),
+3 invalid configuration or degenerate values (a non-finite cross-ratio, or
+any result that is not finite: no run prints a NaN or an infinity),
 4 quadric/orbit failure (off-quadric input, cross-ratio mismatch).
 Without --json, measure prints a table (it has no --table flag).
+
+run() is the process entry, for `python -m threeterm.cli` and the threeterm
+script: it exits with main()'s code and freezes the collector on the way out.
+main(argv) has no process-wide effect and is safe to call in-process.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import sys
 
-from .errors import GeometryError, NotSameOrbitError, OffQuadricError
+from .errors import DegenerateError, GeometryError, NotSameOrbitError, OffQuadricError
 from .grassmann import Matrix2x4, minors, reconstruct
 from .measurements import (
     ConcyclicConfig,
@@ -151,6 +157,23 @@ def _max_rel_dev(lhs, rhs) -> float:
     return worst
 
 
+def _modulus(z) -> float:
+    """|z|, or inf where a complex modulus exceeds the float range (abs raises there)."""
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
+
+
+def _dump(doc: dict) -> str:
+    """doc as indented JSON, checked in text mode too: a NaN or infinite value
+    raises DegenerateError (exit 3), so no run prints one."""
+    try:
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise DegenerateError("a result is not finite") from None
+
+
 def build_report(cfg: ConcyclicConfig, tol: float) -> dict:
     """Measurements, relation residuals, and rescaling-identity deviations.
 
@@ -199,8 +222,9 @@ def _print_measure_table(report: dict) -> None:
 def cmd_measure(args) -> int:
     cfg = _read_config(args.config)
     report = build_report(cfg, args.tol)
+    text = _dump(report)
     if args.json:
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(text)
     else:
         _print_measure_table(report)
     return EXIT_OK if all(report["pass"].values()) else EXIT_RELATION_FAILURE
@@ -217,13 +241,11 @@ def cmd_rescale(args) -> int:
         verification[f"{i}{j}"] = {
             "q_i_q_j": _json_scalar(product),
             "c_ij": _json_scalar(ratio),
-            "deviation": abs(product - ratio),
+            "deviation": _modulus(product - ratio),
         }
+    text = _dump({"q": [_json_scalar(v) for v in q], "verification": verification})
     if args.json:
-        print(json.dumps(
-            {"q": [_json_scalar(v) for v in q], "verification": verification},
-            indent=2, sort_keys=True,
-        ))
+        print(text)
     else:
         for k, value in enumerate(q, start=1):
             print(f"q{k} = {value}")
@@ -240,8 +262,9 @@ def cmd_plucker_minors(args) -> int:
         "residual": _json_scalar(residual(p)),
         "relative_residual": relative_residual(p),
     }
+    text = _dump(doc)
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(text)
     else:
         print("minors (12,13,14,23,24,34):", doc["minors"])
         print("residual:", doc["residual"])
@@ -255,10 +278,11 @@ def cmd_plucker_reconstruct(args) -> int:
     check = minors(matrix)
     doc = {
         "rows": rows,
-        "max_minor_deviation": max(abs(pv - cv) for pv, cv in zip(p, check)),
+        "max_minor_deviation": max(_modulus(pv - cv) for pv, cv in zip(p, check)),
     }
+    text = _dump(doc)
     if args.json:
-        print(json.dumps(doc, indent=2, sort_keys=True))
+        print(text)
     else:
         print("rows:", rows)
         print("max minor deviation:", doc["max_minor_deviation"])
@@ -342,5 +366,17 @@ def main(argv=None) -> int:
         return EXIT_INVALID_CONFIG
 
 
+def run() -> None:
+    """The process entry: exit with main()'s code for sys.argv."""
+    try:
+        sys.exit(main())
+    finally:
+        # Shutdown would walk the ~24 000 objects left from import (numpy's
+        # mostly) in a full collection, 20-30 ms of a start.  Frozen objects are
+        # skipped; atexit hooks, the flush of stdout and stderr and module
+        # teardown still run in order.  os._exit would skip finalizers.
+        gc.freeze()
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

@@ -91,7 +91,10 @@ def reconstruct(p: SixTuple, tol: float = DEFAULT_TOL) -> Matrix2x4:
     # SixTuple holds Python numbers: the sum is complex exactly when an entry is.
     to = complex if isinstance(sum(p, 0.0), complex) else float
     vals = tuple(map(to, p))
-    mags = [abs(v) for v in vals]
+    try:
+        mags = [abs(v) for v in vals]
+    except OverflowError:
+        raise DomainError("an entry's modulus is beyond the float range") from None
     pivot = mags.index(max(mags))
     i, j, rest = _PIVOTS[pivot]
     q12 = vals[pivot]

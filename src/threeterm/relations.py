@@ -155,6 +155,13 @@ def _scaled_product(x: Scalar, y: Scalar) -> tuple[Scalar, int]:
     return _ldexp(x, -ex) * _ldexp(y, -ey), ex + ey
 
 
+def _quarter_modulus(z: Scalar) -> float:
+    """|z|/4, for where abs(z) raised OverflowError: a complex z with finite parts
+    can have a modulus beyond the float range.  math.hypot, not abs: after such an
+    error, CPython's abs() of a complex NaN raises it again from the stale errno."""
+    return math.hypot(z.real * 0.25, z.imag * 0.25)
+
+
 def _residual_and_scale(t: SixTuple) -> tuple[Scalar, float, int]:
     """(r, s, e): residual(t) and the scale of the relative tests, the largest
     monomial (no floor, so the tests do not depend on units), divided by 2^e.
@@ -166,7 +173,10 @@ def _residual_and_scale(t: SixTuple) -> tuple[Scalar, float, int]:
     """
     a12, a13, a14, a23, a24, a34 = t
     m1, m2, m3 = a12 * a34, a14 * a23, a13 * a24
-    scale = max(abs(m1), abs(m2), abs(m3))
+    try:
+        scale = max(abs(m1), abs(m2), abs(m3))
+    except OverflowError:  # a complex monomial of modulus beyond the float range
+        scale = math.inf
     if 2.0 ** -969 <= scale <= 2.0 ** 1022:
         return m1 + m2 - m3, scale, 0
     parts = [_scaled_product(a12, a34), _scaled_product(a14, a23), _scaled_product(a13, a24)]
@@ -210,16 +220,23 @@ def cross_ratio_invariant(t: SixTuple) -> Scalar:
 
     While both products are normal floats they are used as they are.
     Otherwise they are formed from frexp mantissas and exponents, so t and
-    2^k*t give the same invariant anywhere in the float range.
+    2^k*t give the same invariant anywhere in the float range.  An invariant
+    beyond the float range raises DegenerateError.
     """
     a12, _, a14, a23, _, a34 = t
     num, den = a12 * a34, a23 * a14
-    if _TINY <= abs(num) <= _HUGE and _TINY <= abs(den) <= _HUGE:
-        return num / den
+    try:
+        if _TINY <= abs(num) <= _HUGE and _TINY <= abs(den) <= _HUGE:
+            return num / den
+    except OverflowError:  # a complex product of modulus beyond the float range
+        pass
     (m_num, e_num), (m_den, e_den) = _scaled_product(a12, a34), _scaled_product(a23, a14)
     if m_den == 0:
         raise DegenerateError("cross-ratio invariant undefined: a23*a14 = 0")
-    return _ldexp(m_num / m_den, e_num - e_den)
+    try:
+        return _ldexp(m_num / m_den, e_num - e_den)
+    except OverflowError:
+        raise DegenerateError("cross-ratio invariant leaves the float range") from None
 
 
 def _principal_sqrt(x: Scalar) -> Scalar:
@@ -248,7 +265,12 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
         raise _off_quadric(b, tol, "second tuple")
     inv_a = cross_ratio_invariant(a)
     inv_b = cross_ratio_invariant(b)
-    if abs(inv_a - inv_b) > tol * max(abs(inv_a), abs(inv_b), 1.0):
+    try:
+        differ = abs(inv_a - inv_b) > tol * max(abs(inv_a), abs(inv_b), 1.0)
+    except OverflowError:  # compare quarters; the 1.0 is negligible beside such a modulus
+        differ = _quarter_modulus(inv_a - inv_b) > tol * max(_quarter_modulus(inv_a),
+                                                              _quarter_modulus(inv_b))
+    if differ:
         raise NotSameOrbitError(None, inv_a, inv_b)
     (a12, a13, a14, a23, a24, a34), (b12, b13, b14, b23, _, _) = a, b
     c12, c13, c14, c23 = b12 / a12, b13 / a13, b14 / a14, b23 / a23
@@ -256,7 +278,11 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
     # zero or non-finite q_i, which TorusElement rejects.
     try:
         q1_squared = c12 * c13 / c23
-        if not _TINY <= abs(q1_squared) <= _HUGE:
+        try:
+            in_range = _TINY <= abs(q1_squared) <= _HUGE
+        except OverflowError:
+            in_range = False
+        if not in_range:
             q1_squared = c12 * (c13 / c23)  # c12*c13 alone left the float range
         q1 = _principal_sqrt(q1_squared)
         q = TorusElement(q1, c12 / q1, c13 / q1, c14 / q1)
@@ -270,8 +296,12 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
     images = (q1 * q2 * a12, q1 * q3 * a13, q1 * q4 * a14,
               q2 * q3 * a23, q2 * q4 * a24, q3 * q4 * a34)
     for pair, qa, bv in zip(PAIRS, images, b):
-        if abs(qa - bv) > tol * abs(bv):
-            raise NotSameOrbitError(None, inv_a, inv_b, pair, abs(qa - bv) / abs(bv), tol)
+        try:
+            gap, size = abs(qa - bv), abs(bv)
+        except OverflowError:
+            gap, size = _quarter_modulus(qa - bv), _quarter_modulus(bv)
+        if gap > tol * size:
+            raise NotSameOrbitError(None, inv_a, inv_b, pair, gap / size, tol)
     return q
 
 

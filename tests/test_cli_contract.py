@@ -116,7 +116,7 @@ def test_contract(command, tmp_path, capsys):
 
 
 def test_table_covers_every_fixture():
-    assert len(_sixtuples()) == 11
+    assert len(_sixtuples()) == 12
     assert sum(map(len, _expected().values())) >= 500
 
 

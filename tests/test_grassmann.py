@@ -255,6 +255,12 @@ class TestReconstruct:
             assert p.a12 == 0.0
             assert max_minor_dev(p, minors(reconstruct(p))) <= 1e-10
 
+    def test_entry_modulus_beyond_float_range_rejected(self):
+        # On the quadric, but abs() of the entry raises OverflowError.
+        big = complex(1.7e308, 1.7e308)
+        with pytest.raises(DomainError, match="beyond the float range"):
+            reconstruct(SixTuple(1, 1, big, 1, 1, 1 - big))
+
     def test_subnormal_complex_pivot(self):
         # Complex division by a subnormal pivot stays finite.
         p = SixTuple(0.0, 0.0, 0.0, 0.0, 0.0, complex(-2.22507386e-311))

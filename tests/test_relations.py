@@ -176,6 +176,16 @@ class TestResidual:
             assert is_on_quadric(SixTuple(*[s * v for v in on]), 1e-10)
             assert not is_on_quadric(SixTuple(s, s, s, s, s, s * 1j), 1e-10)
 
+    def test_complex_monomial_modulus_beyond_float_range(self):
+        # a14*a23 has finite parts but a modulus beyond the float range, where
+        # abs() raises OverflowError; the frexp path answers instead.
+        t = SixTuple(1, 1, complex(1.7976931348623157e308, -0.22), complex(-1, 0.94), 1, 1)
+        assert relative_residual(t) == 1.0
+        assert not is_on_quadric(t, 1e-10)
+        big = complex(1.7e308, 1.7e308)
+        on = SixTuple(1, 1, big, 1, 1, 1 - big)
+        assert is_on_quadric(on, 1e-10)
+
     @settings(max_examples=300, deadline=None)
     @given(parts=st.lists(moderate, min_size=12, max_size=12), is_complex=st.booleans(),
            k=st.integers(min_value=-540, max_value=510))
@@ -294,6 +304,16 @@ class TestCrossRatioInvariant:
             assert cross_ratio_invariant(SixTuple(*[s * v for v in SQUARE_CHORDS])) == 1.0
             other = SixTuple(*[s * v for v in (1, 2, 1, 1, 2, 3)])
             assert cross_ratio_invariant(other) == pytest.approx(3.0, rel=1e-15)
+
+    def test_complex_products_beyond_float_range(self):
+        # a12*a34 has finite parts but a modulus beyond the float range.
+        big = complex(1.7e308, 1.7e308)
+        assert cross_ratio_invariant(SixTuple(1, 1, big, 1, 1, 1 - big)) == pytest.approx(-1.0)
+
+    def test_invariant_beyond_float_range_rejected(self):
+        t = SixTuple(1e300, 1e300, 1, 1, 1e300, 1e300)
+        with pytest.raises(DegenerateError, match="invariant leaves the float range"):
+            cross_ratio_invariant(t)
 
 
 class TestRescalingSolve:
@@ -485,6 +505,33 @@ class TestRescalingSolve:
         for x, y in ((a, b), (b, a)):
             with pytest.raises(DegenerateError, match="rescaling leaves the float range"):
                 rescaling_solve(x, y)
+
+    def test_complex_moduli_beyond_float_range(self):
+        # b has entries of finite parts whose modulus abs() cannot return: the
+        # invariant gap and the postcondition compare quarters instead.
+        big = complex(1.7e308, 1.7e308)
+        a = SixTuple(1, 2, 1, 1, 1, 1)
+        b = SixTuple(1, 2, big, 1, big, big)
+        assert rescaling_solve(a, b).values() == (1, 1, 1, big)
+        # As in test_postcondition_names_the_entry, b34 is off by 1e-9 of itself.
+        a = SixTuple(0.01, 1.01, 1.0, 1.0, 1.0, 1.0)
+        with pytest.raises(NotSameOrbitError, match="entry 34") as info:
+            rescaling_solve(a, SixTuple(0.01, 1.01, big, 1.0, big, big * (1.0 + 1e-9)))
+        assert info.value.deviation == pytest.approx(1e-9, rel=1e-6)
+        # At tol 1e308, image 23 is inf+infj against a b23 whose modulus
+        # overflows; it passes, and image 24 misses b24 by 1.27e308.
+        m = 1.7976931348623157e308
+        with pytest.raises(NotSameOrbitError, match="entry 24"):
+            rescaling_solve(SixTuple(1.0, 0.5, m, 2.0, m, 1.0),
+                            SixTuple(0.5, 0.5, 1.0, complex(m, m), 1.0, 1.0), tol=1e308)
+        z = complex(1.3e308, 1.3e308)
+        # q1^2 = z itself.
+        root = cmath.sqrt(z)
+        q = rescaling_solve(SixTuple(1, 1, 1, 1, 2, 1), SixTuple(root, root, root, 1, 2, 1))
+        assert q.values() == (root, 1, 1, 1)
+        with pytest.raises(NotSameOrbitError, match="invariants differ") as info:
+            rescaling_solve(SixTuple(z, z, 1, 1, 1, 1), SixTuple(1, 2, 1, 1, 2, 3))
+        assert info.value.invariant_a == z
 
     def test_ratio_tuple_zero_rejected(self):
         # a zero entry in the target tuple makes a zero ratio b_ij/a_ij
