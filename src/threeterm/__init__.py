@@ -5,8 +5,13 @@ lambda lengths of horocycles, and Plucker minors of 2x4 matrices all satisfy
 the same quadric relation; this package computes all four from a common
 configuration, converts exactly between three models of the hyperbolic
 plane, and solves for the torus rescaling carrying one six-tuple to another.
+
+Only the Plucker module, grassmann, imports numpy, and it loads on first use:
+its five names below resolve on first access (PEP 562), so `import threeterm`
+and every submodule but grassmann and cli leave numpy unloaded.
 """
 
+import importlib as _importlib
 from types import ModuleType as _ModuleType
 
 from .errors import (
@@ -17,7 +22,6 @@ from .errors import (
     NotSameOrbitError,
     OffQuadricError,
 )
-from .grassmann import Matrix2x4, column_permute, column_rescale, minors, reconstruct
 from .horocycles import (
     EuclideanCircle,
     horocycle_from_tangency,
@@ -62,6 +66,26 @@ from .relations import (
 )
 from .svg import render_svg
 
-# Every name imported above, in sorted order; the submodules themselves are not exported.
-__all__ = sorted(name for name, value in globals().items()
-                 if not name.startswith("_") and not isinstance(value, _ModuleType))
+_GRASSMANN = ("Matrix2x4", "column_permute", "column_rescale", "minors", "reconstruct")
+
+
+def __getattr__(name):
+    """Load grassmann (and so numpy) on first access to one of its names."""
+    if name not in _GRASSMANN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # import_module, not `from . import grassmann`, whose fromlist lookup would
+    # call this __getattr__ again.
+    grassmann = _importlib.import_module(".grassmann", __name__)
+    globals().update((n, getattr(grassmann, n)) for n in _GRASSMANN)
+    return globals()[name]
+
+
+def __dir__():
+    return sorted({*globals(), *_GRASSMANN})
+
+
+# Every name imported above, and grassmann's five, in sorted order; the
+# submodules themselves are not exported.
+__all__ = sorted([name for name, value in globals().items()
+                  if not name.startswith("_") and not isinstance(value, _ModuleType)]
+                 + list(_GRASSMANN))

@@ -3,14 +3,17 @@
 Subcommands: measure, rescale, plucker minors, plucker reconstruct, render,
 crossratio.  Input documents are JSON; complex numbers are written as
 [re, im] pairs.  Exit codes: 0 success, 1 relation failure beyond tolerance,
-2 unparseable document or a --tol that is not a positive finite number,
-3 invalid configuration or degenerate values (a non-finite cross-ratio, or
-any result that is not finite: no run prints a NaN or an infinity),
-4 quadric/orbit failure (off-quadric input, cross-ratio mismatch).
+2 unparseable document or a --tol that is not a positive finite number below 1
+(a relative tolerance of 1 or more accepts almost any tuple), 3 invalid
+configuration or degenerate values (a non-finite cross-ratio, or any result
+that is not finite: no run prints a NaN or an infinity), 4 quadric/orbit
+failure (off-quadric input, cross-ratio mismatch), 141 (128 + SIGPIPE) when
+the reader of stdout has gone before all of it was written.
 Without --json, measure prints a table (it has no --table flag).
 
 run() is the process entry, for `python -m threeterm.cli` and the threeterm
-script: it exits with main()'s code and freezes the collector on the way out.
+script: it exits with main()'s code, or 141 on a closed stdout, and freezes
+the collector on the way out.
 main(argv) has no process-wide effect and is safe to call in-process.
 """
 
@@ -20,6 +23,7 @@ import argparse
 import gc
 import json
 import math
+import os
 import sys
 
 from .errors import DegenerateError, GeometryError, NotSameOrbitError, OffQuadricError
@@ -48,13 +52,15 @@ EXIT_RELATION_FAILURE = 1
 EXIT_PARSE = 2
 EXIT_INVALID_CONFIG = 3
 EXIT_ORBIT = 4
+EXIT_BROKEN_PIPE = 128 + 13  # a shell's code for a process that SIGPIPE ended
 
 
 def positive_finite(text: str) -> float:
-    """Parse a --tol value; argparse exits 2 unless it is positive and finite."""
+    """Parse a --tol value; argparse exits 2 unless it is a relative tolerance,
+    positive and below 1."""
     tol = float(text)
-    if not 0.0 < tol < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text}")
+    if not 0.0 < tol < 1.0:
+        raise argparse.ArgumentTypeError(f"must be a positive finite number below 1, got {text}")
     return tol
 
 
@@ -367,15 +373,25 @@ def main(argv=None) -> int:
 
 
 def run() -> None:
-    """The process entry: exit with main()'s code for sys.argv."""
+    """The process entry: exit with main()'s code for sys.argv, or with 141
+    when stdout is a pipe whose reader has gone."""
     try:
-        sys.exit(main())
+        try:
+            code = main()
+        finally:
+            sys.stdout.flush()  # so that a closed pipe raises here, not at shutdown
+    except BrokenPipeError:
+        # The signal module's recipe: stdout onto devnull, so that the flush at
+        # shutdown cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_BROKEN_PIPE
     finally:
         # Shutdown would walk the ~24 000 objects left from import (numpy's
         # mostly) in a full collection, 20-30 ms of a start.  Frozen objects are
         # skipped; atexit hooks, the flush of stdout and stderr and module
         # teardown still run in order.  os._exit would skip finalizers.
         gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -9,18 +9,23 @@ permutation relabels them with the antisymmetric sign P_ji = -P_ij.
 A matrix is its eight entries: floats, or complex numbers if any is complex.
 The finiteness check, minors() and reconstruct() read only these; numpy serves
 the public constructor, the rows array (read-only, new on each read) and the
-column actions.  As in models, Matrix2x4.__post_init__ keeps its name for the
-benchmark's tracer.  reconstruct() reads P_kl from a table of slots and signs.
+column actions.  This is the package's one numpy import, and it loads with this
+module, on first use: `import threeterm` resolves the five names here only
+when one is first read.  As in models, Matrix2x4.__post_init__ keeps its name
+for the benchmark's tracer.  reconstruct() reads P_kl from a table of slots
+and signs.
 """
 
 from __future__ import annotations
 
 import cmath
+import math
 
 import numpy as np
 
 from .errors import DomainError
-from .relations import DEFAULT_TOL, PAIRS, SixTuple, _Frozen, _minors, _off_quadric, is_on_quadric
+from .relations import (DEFAULT_TOL, PAIRS, SixTuple, _Frozen, _ldexp, _minors, _off_quadric,
+                        is_on_quadric)
 
 
 class Matrix2x4(_Frozen):
@@ -95,13 +100,21 @@ def reconstruct(p: SixTuple, tol: float = DEFAULT_TOL) -> Matrix2x4:
         mags = [abs(v) for v in vals]
     except OverflowError:
         raise DomainError("an entry's modulus is beyond the float range") from None
-    pivot = mags.index(max(mags))
+    size = max(mags)
+    pivot = mags.index(size)
     i, j, rest = _PIVOTS[pivot]
-    q12 = vals[pivot]
+    q12, num = vals[pivot], vals
+    if to is complex and size > 2.0 ** 1020:
+        # Complex division forms sums of up to twice the divisor's size, which
+        # overflow near the float limit.  There the quotients are taken of the
+        # tuple scaled, exactly, by the power of two that brings the pivot near
+        # 1; elsewhere that scaling would not change them.
+        num = [_ldexp(v, -math.frexp(size)[1]) for v in vals]
+    den = num[pivot]
     x, y = [to(0.0)] * 4, [to(0.0)] * 4
     x[i], y[j] = to(1.0), q12
     for k, (a, neg_a), (b, neg_b) in rest:
-        x[k] = (-vals[a] if neg_a else vals[a]) / q12
+        x[k] = (-num[a] if neg_a else num[a]) / den
         y[k] = -vals[b] if neg_b else vals[b]
     return Matrix2x4._from_entries(tuple(x), tuple(y))
 

@@ -169,7 +169,7 @@ class TestExitCodes:
         assert code == 4
         assert err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "1e-400", "nan", "inf"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "1e-400", "nan", "inf", "1", "1e308"])
     @pytest.mark.parametrize(
         "argv",
         [

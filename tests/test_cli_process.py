@@ -1,8 +1,8 @@
 """The CLI as a process: `python -m threeterm.cli` through `cli.run`.
 
 A few runs in a fresh interpreter check that the process entry writes what
-the in-process `cli.main` does, exits with its code, and that `main` itself
-leaves the collector as it found it.
+the in-process `cli.main` does, exits with its code (141 when the reader of
+stdout has gone), and that `main` itself leaves the collector as it found it.
 """
 
 import gc
@@ -20,10 +20,13 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 
 
-def run_process(*argv):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+ENV = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+
+
+def run_process(*argv, **kwargs):
+    kwargs.setdefault("capture_output", True)
     return subprocess.run([sys.executable, "-m", "threeterm.cli", *map(str, argv)],
-                          capture_output=True, text=True, env=env, timeout=60)
+                          text=True, env=ENV, timeout=60, **kwargs)
 
 
 def test_measure_json_golden():
@@ -44,6 +47,18 @@ def test_orbit_failure_exit_code():
     assert proc.returncode == 4
     assert proc.stderr.startswith("error: ")
     assert proc.stdout == ""
+
+
+def test_closed_stdout_exits_141_without_traceback():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = run_process("measure", DATA / "square_config.json", "--json",
+                           capture_output=False, stdout=write_end, stderr=subprocess.PIPE)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141
+    assert proc.stderr == ""
 
 
 def test_main_leaves_collector_unfrozen(capsys):

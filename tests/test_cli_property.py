@@ -8,11 +8,18 @@ cross-ratio points.  `cli.main` runs in-process on each.  The only exception
 allowed is argparse's SystemExit(2) for a bad --tol; the exit code is one of
 0-4; on exit 0, --json output parses with a reader that rejects NaN and
 Infinity, and text output (and a rendered SVG) holds no "nan" or "inf".
+On exit 0 the printed answers also round-trip, read back from either output
+form: the rows of `plucker reconstruct` give back the input's minors within
+(tol + 8u)*max|p| + 4*eta, and the q of `rescale` gives |q_i*q_j*a_ij - b_ij| <=
+tol*|b_ij| on every pair, each modulus formed without overflow.  The term
+4*eta, four of the smallest subnormal, allows for the products in a minor's
+component that underflow, each off by up to eta/2.
 
 Example budget: 80 examples per subcommand, 480 in all, about 3 s on a
 2-vCPU host.
 """
 
+import ast
 import cmath
 import io
 import json
@@ -26,7 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threeterm.cli import main
-from threeterm.relations import PAIRS
+from threeterm.relations import DEFAULT_TOL, PAIRS
 
 EXAMPLES = settings(max_examples=80, deadline=None)
 
@@ -34,6 +41,8 @@ _MAX, _MIN = sys.float_info.max, sys.float_info.min
 # The float limits, and units that keep a product with one of them finite.
 SPECIAL = (_MAX, -_MAX, _MAX / 2, math.nextafter(_MAX, 0.0), _MIN, -_MIN, 5e-324, 0.0, 1.0, -1.0)
 NONFINITE = re.compile(r"nan|inf", re.IGNORECASE)
+U = 2.0 ** -53  # the unit roundoff of a float
+ETA = 2.0 ** -1074  # the smallest subnormal
 
 decade = st.integers(min_value=-200, max_value=200)
 mantissa = st.floats(min_value=-10.0, max_value=10.0)
@@ -158,7 +167,8 @@ def _reject(constant):
 
 
 def _check(argv, as_json, svg=None):
-    """Run main(argv) and assert the contract for its outcome."""
+    """Run main(argv) and assert the contract for its outcome; the text printed
+    on exit 0, else None."""
     if svg is not None:
         svg.unlink(missing_ok=True)
     out = io.StringIO()
@@ -167,10 +177,10 @@ def _check(argv, as_json, svg=None):
             code = main(argv)
         except SystemExit as exc:
             assert exc.code == 2, argv
-            return
+            return None
     assert code in (0, 1, 2, 3, 4), argv
     if code != 0:
-        return
+        return None
     text = out.getvalue()
     if as_json:
         json.loads(text, parse_constant=_reject)
@@ -178,6 +188,34 @@ def _check(argv, as_json, svg=None):
         assert not NONFINITE.search(text), (argv, text)
     if svg is not None:
         assert not NONFINITE.search(svg.read_text(encoding="utf-8")), argv
+    return text
+
+
+def _scalar(v):
+    """A number read back from the output: [re, im] as a complex, a float as is."""
+    return complex(*v) if isinstance(v, list) else v
+
+
+def _printed_scalar(text):
+    """A number printed by str(): a float, or a complex such as (1-2j)."""
+    try:
+        return float(text)
+    except ValueError:
+        return complex(text)
+
+
+def _within(gap, size, bound, floor=0.0):
+    """|gap| <= bound*|size| + floor, all quartered where a modulus leaves the
+    float range (abs raises there for a complex), as relations._quarter_modulus does."""
+    try:
+        return abs(gap) <= bound * abs(size) + floor
+    except OverflowError:
+        return (math.hypot(gap.real * 0.25, gap.imag * 0.25)
+                <= bound * math.hypot(size.real * 0.25, size.imag * 0.25) + floor * 0.25)
+
+
+def _tol(tol_text):
+    return DEFAULT_TOL if tol_text is None else float(tol_text)
 
 
 def _flags(as_json, tol_text=None):
@@ -202,7 +240,16 @@ def test_render(workdir, doc):
 def test_rescale(workdir, pair, as_json, tol_text):
     a, b = ([_json_value(v) for v in t] for t in pair)
     paths = _write(workdir / "a.json", a), _write(workdir / "b.json", b)
-    _check(["rescale", *paths, *_flags(as_json, tol_text)], as_json)
+    text = _check(["rescale", *paths, *_flags(as_json, tol_text)], as_json)
+    if text is None:
+        return
+    if as_json:
+        q = [_scalar(v) for v in json.loads(text)["q"]]
+    else:
+        q = [_printed_scalar(line.split(" = ")[1]) for line in text.splitlines()[:4]]
+    qs = (None, *q)
+    for (i, j), av, bv in zip(PAIRS, *pair):
+        assert _within(qs[i] * qs[j] * av - bv, bv, _tol(tol_text)), (pair, q, i, j)
 
 
 @EXAMPLES
@@ -217,7 +264,18 @@ def test_plucker_minors(workdir, rows, as_json):
 @given(p=sixtuples, as_json=st.booleans(), tol_text=tol)
 def test_plucker_reconstruct(workdir, p, as_json, tol_text):
     path = _write(workdir / "p.json", [_json_value(v) for v in p])
-    _check(["plucker", "reconstruct", path, *_flags(as_json, tol_text)], as_json)
+    text = _check(["plucker", "reconstruct", path, *_flags(as_json, tol_text)], as_json)
+    if text is None:
+        return
+    if as_json:
+        rows = json.loads(text)["rows"]
+    else:
+        rows = ast.literal_eval(text.splitlines()[0].removeprefix("rows: "))
+    x, y = ([_scalar(v) for v in row] for row in rows)
+    largest = max(p, key=abs)  # reconstruct exits 3 where a modulus leaves the float range
+    bound = _tol(tol_text) + 8.0 * U
+    for pair, pv, mv in zip(PAIRS, p, _minors(x, y)):
+        assert _within(mv - pv, largest, bound, 4.0 * ETA), (p, rows, pair)
 
 
 @EXAMPLES

@@ -266,6 +266,25 @@ class TestReconstruct:
         p = SixTuple(0.0, 0.0, 0.0, 0.0, 0.0, complex(-2.22507386e-311))
         assert minors(reconstruct(p)).values() == p.values()
 
+    def test_complex_pivot_near_float_limit(self):
+        # Complex division by this pivot overflows inside, and x4 = 0.8 came
+        # out as 0, so the minor P24 read back as 0.
+        big = 1.1235582092889472e308
+        p = SixTuple(complex(-big, -big), 0.0, 0.0, 0.0, complex(0.8 * big, 0.8 * big), 0.0)
+        m = reconstruct(p)
+        assert m.entries[0][3] == complex(0.8, -0.0)
+        assert minors(m) == p
+
+    def test_complex_quotients_scale_free(self):
+        # Scaled by 2^e, the tuple's pivot (6.5) leaves the range where complex
+        # division is safe: the first row stays the same, the second scales by 2^e.
+        e = 1019
+        p = minors(Matrix2x4([[2.0, 1j, 1.0 + 1j, -1.0], [0.5, 1.0, -1j, 3.0]]))
+        scaled = SixTuple(*[complex(math.ldexp(v.real, e), math.ldexp(v.imag, e)) for v in p])
+        (x, y), (sx, sy) = reconstruct(p).entries, reconstruct(scaled).entries
+        assert sx == x
+        assert sy == tuple(complex(math.ldexp(v.real, e), math.ldexp(v.imag, e)) for v in y)
+
     def test_complex_round_trip(self):
         rng = np.random.default_rng(157)
         for _ in range(200):

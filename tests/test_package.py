@@ -1,6 +1,19 @@
-"""The package namespace: what `threeterm.__all__` exports."""
+"""The package namespace: what `threeterm.__all__` exports, and where numpy loads.
+
+Only grassmann imports numpy.  Each import below runs in a fresh interpreter,
+which reports whether numpy is in sys.modules afterwards.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
 
 import threeterm
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_every_export_resolves_once():
@@ -14,3 +27,40 @@ def test_star_import():
     namespace = {}
     exec("from threeterm import *", namespace)
     assert set(threeterm.__all__) <= set(namespace)
+
+
+def test_dir_lists_every_export():
+    assert set(threeterm.__all__) <= set(dir(threeterm))
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        threeterm.no_such_name
+
+
+def numpy_loaded(code):
+    """Whether numpy is in sys.modules after code runs in a fresh interpreter."""
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    script = f"{code}\nimport sys\nprint('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return {"True\n": True, "False\n": False}[proc.stdout]
+
+
+@pytest.mark.parametrize("module", ["threeterm", "threeterm.errors", "threeterm.relations",
+                                    "threeterm.models", "threeterm.horocycles",
+                                    "threeterm.measurements", "threeterm.svg"])
+def test_import_leaves_numpy_unloaded(module):
+    assert not numpy_loaded(f"import {module}")
+
+
+@pytest.mark.parametrize("code", [
+    "import threeterm\nthreeterm.Matrix2x4",
+    "from threeterm import minors",
+    "import threeterm\nm = threeterm.Matrix2x4\nassert threeterm.grassmann.Matrix2x4 is m",
+    "import threeterm.grassmann",
+    "import threeterm.cli",
+])
+def test_grassmann_and_cli_load_numpy(code):
+    assert numpy_loaded(code)
