@@ -39,6 +39,7 @@ from .relations import (
     PAIRS,
     SixTuple,
     TorusElement,
+    _ratio,
     cross_ratio_points,
     relative_residual,
     rescaling_solve,
@@ -243,7 +244,7 @@ def cmd_rescale(args) -> int:
     verification = {}
     for (i, j), av, bv in zip(PAIRS, a, b):
         product = qs[i] * qs[j]
-        ratio = bv / av
+        ratio = _ratio(bv, av)
         verification[f"{i}{j}"] = {
             "q_i_q_j": _json_scalar(product),
             "c_ij": _json_scalar(ratio),

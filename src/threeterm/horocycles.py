@@ -5,7 +5,7 @@ returns that LightConePoint, a checked (x, y, z) tuple, and
 horocycle_to_circle derives the tangent EuclideanCircle in the disk from it.
 The Minkowski pairing does all the metric work: lambda(u1, u2) =
 sqrt(-<u1, u2>), a plain float that exceeds 1 exactly when the two
-horocycles are disjoint.
+horocycles are disjoint, for any heights and any two distinct ideal points.
 """
 
 from __future__ import annotations
@@ -18,8 +18,12 @@ from .relations import _Named
 
 SQRT2 = math.sqrt(2.0)
 
-# Pairings smaller than this times z1*z2 count as a common ray.
+# Pairings smaller than this times z1*z2 are beyond what the plain pairing
+# resolves, and lambda_length takes the gap of the ideal points instead.
 COMMON_RAY_TOL = 1e-12
+# Ideal points closer than this, a few roundings of a unit vector, count as
+# a common ray.
+COMMON_RAY_GAP = 8 * 2.0**-53
 
 
 class EuclideanCircle(_Named):
@@ -65,12 +69,21 @@ def _horocycle_at(x: float, y: float, r: float) -> LightConePoint:
 def lambda_length(h1: LightConePoint, h2: LightConePoint) -> float:
     """Lambda length sqrt(-<u1, u2>) between two horocycles.
 
-    Horocycles on a common light-cone ray have pairing zero and no lambda
-    length; the threshold is proportional to z1*z2 so it is invariant under
-    rescaling either representative.
+    While z1*z2 lies in [2^-969, 2^1022] and |pairing| exceeds
+    COMMON_RAY_TOL*z1*z2, it is formed as it stands.  Elsewhere it would
+    overflow, lose digits or cancel, and lambda = sqrt(z1)*sqrt(z2)*g/sqrt(2)
+    instead, g = |e1 - e2| the gap of the ideal points e_i = (x_i, y_i)/z_i,
+    since -<u1, u2> = z1*z2*g^2/2 on the cone.  Both forms are invariant
+    under rescaling either representative.  Horocycles on a common light-cone
+    ray have g = 0 and no lambda length; an overflowing one comes back inf.
     """
     (x1, y1, z1), (x2, y2, z2) = h1, h2
-    pairing = x1 * x2 + y1 * y2 - z1 * z2
-    if abs(pairing) <= COMMON_RAY_TOL * z1 * z2:
+    zz = z1 * z2
+    if 2.0 ** -969 <= zz <= 2.0 ** 1022:
+        pairing = x1 * x2 + y1 * y2 - zz
+        if abs(pairing) > COMMON_RAY_TOL * zz:
+            return math.sqrt(-pairing)
+    gap = math.hypot(x1 / z1 - x2 / z2, y1 / z1 - y2 / z2)
+    if gap <= COMMON_RAY_GAP:
         raise DegenerateError("horocycles lie on a common light-cone ray")
-    return math.sqrt(-pairing)
+    return math.sqrt(z1) * math.sqrt(z2) * (gap / SQRT2)

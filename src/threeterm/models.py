@@ -1,9 +1,9 @@
 """Minkowski 3-space and the three models of the hyperbolic plane.
 
 Points live on the upper hyperboloid sheet, in the Poincare disk, or in the
-upper half plane; the conversions between models are exact isometries, so any
-distance can be computed in whichever model is most convenient.  All
-operations are pure functions.
+upper half plane; the conversions between models are exact isometries, and
+each model's distance is one closed form, 2*asinh(sinh(d/2)), with no case
+split.  All operations are pure functions.
 
 Every value type is a relations._Named tuple; LightConePoint and
 HyperboloidPoint are MinkowskiVecs on a sheet.  The vector types and
@@ -19,9 +19,10 @@ import cmath
 import math
 
 from .errors import DegenerateError, DomainError
-from .relations import _HUGE, _TINY, _Named, cross_ratio_points
+from .relations import _HUGE, _TINY, _Named
 
 TWO_PI = 2.0 * math.pi
+_LN2 = math.log(2.0)
 
 # Type invariants (<u,u>=0, <v,v>=-1) are enforced at construction to this
 # tolerance, relative to the largest squared component (see _on_sheet);
@@ -177,12 +178,6 @@ class UhpPoint(_Named):
             raise DomainError("point at infinity has no complex coordinate")
         return complex(self.re, self.im)
 
-    def projective(self) -> tuple[complex, complex]:
-        """Homogeneous coordinates: (w, 1) for finite points, (1, 0) at infinity."""
-        if self.at_infinity:
-            return (1.0 + 0.0j, 0.0 + 0.0j)
-        return (complex(self.re, self.im), 1.0 + 0.0j)
-
 
 def disk_to_hyperboloid(p: DiskPoint) -> HyperboloidPoint:
     """Lift a disk point to the hyperboloid: (x,y) -> (2x, 2y, 1+x^2+y^2)/(1-x^2-y^2)."""
@@ -265,53 +260,45 @@ def geodesic_ideal_endpoints(w1: UhpPoint, w2: UhpPoint) -> tuple[UhpPoint, UhpP
 
 
 def hyp_distance_crossratio(w1: UhpPoint, w2: UhpPoint) -> float:
-    """Hyperbolic distance |log(-CR)| via the cross-ratio CR of (w1, e1, w2, e2).
+    """Hyperbolic distance 2*asinh(x), x = |w1 - w2| / (2*sqrt(im1*im2)) (Beardon, sec. 7.2).
 
-    e1 and e2 are the ideal endpoints of the geodesic; cross-ratios are
-    taken on homogeneous coordinate vectors, with the point at infinity as
-    (1, 0).  Near d = 0, CR is near -1 and its log cancels.  There the
-    Pluecker relation P12*P34 + P14*P23 = P13*P24 gives -CR = 1 + X, with X
-    the cross-ratio of (w1, w2, e1, e2), which is -P13*P24/(P23*P14) and
-    small exactly when w1 is near w2; so d = |log1p(Re X)|.  Once -CR < 1/2
-    the log of CR itself loses nothing and log1p(X) would cancel instead.
-    A vertical pair needs no cross-ratio: d = log(hi/lo) of its heights,
-    through log1p while hi <= 2*lo (where hi - lo is exact) and as
-    log(hi) - log(lo) once hi/lo overflows (d > 709, so the two logs' errors
-    stay near u*d); each way d is within a few u of the exact distance.
-    Domain limit: a cross-ratio that underflows to 0 or is not finite (too
-    distant points, or minors whose products overflow) raises DomainError.
+    The paper's route, |log(-CR)| for the cross-ratio of (w1, e1, w2, e2)
+    with e1, e2 from geodesic_ideal_endpoints, stays in the tests as the
+    oracle.  Every finite float is an integer times 2^-1074, so x^2 is
+    num/den for integers, exactly, and s = isqrt(floor(x^2 * 4^-e)) is
+    floor(x * 2^-e), with e chosen to give s 64 bits or more: s * 2^e is x
+    correctly rounded but for a tie within 2^-63.  So asinh's own error
+    (about an ulp) is the closed form's only one, and nothing under- or
+    overflows; beyond x = 2^1000, asinh(x) = log(2x).  Every pair of
+    distinct interior points gets its distance, within 4u (and, for a
+    subnormal distance, a few of the smallest subnormal).
     """
-    e1, e2 = geodesic_ideal_endpoints(w1, w2)
-    if w1.re == w2.re:
-        lo, hi = sorted((w1.im, w2.im))
-        if hi <= 2.0 * lo:
-            return math.log1p((hi - lo) / lo)
-        ratio = hi / lo
-        return math.log(ratio) if ratio <= _HUGE else math.log(hi) - math.log(lo)
-    w1h, e1h, w2h, e2h = (p.projective() for p in (w1, e1, w2, e2))
-    try:
-        x = cross_ratio_points(w1h, w2h, e1h, e2h).real
-        if x > -0.5:
-            return abs(math.log1p(x))
-        cr = abs(cross_ratio_points(w1h, e1h, w2h, e2h))
-    except DegenerateError as exc:  # a product of minors overflowed or underflowed
-        raise DomainError(f"distance out of float range: {exc}") from None
-    if cr == 0.0:
-        raise DomainError(f"distance out of float range: cross-ratio of {w1}, {w2} underflows to 0")
-    return abs(math.log(cr))
+    if w1.is_ideal or w2.is_ideal:
+        raise DomainError("distance requires interior points")
+    if w1 == w2:
+        raise DegenerateError(f"coincident points: {w1}")
+    (re1, im1, _), (re2, im2, _) = w1, w2
+    a1, b1, a2, b2 = (n << 1075 - d.bit_length()  # the coordinates times 2^1074
+                      for n, d in map(float.as_integer_ratio, (re1, im1, re2, im2)))
+    num, den = (a1 - a2) ** 2 + (b1 - b2) ** 2, 4 * b1 * b2
+    e = (num.bit_length() - den.bit_length()) // 2 - 64
+    s = math.isqrt((num << max(-2 * e, 0)) // (den << max(2 * e, 0)))  # in [2^63, 2^65)
+    if e > 936:
+        return 2.0 * (math.log(s) + (e + 1) * _LN2)
+    return 2.0 * math.asinh(math.ldexp(float(s), e))
 
 
 def hyp_distance_hyperboloid(v1: HyperboloidPoint, v2: HyperboloidPoint) -> float:
-    """Hyperbolic distance on the hyperboloid sheet: 2*asinh(sqrt(<w,w>)/2), w = v1 - v2.
+    """Hyperbolic distance 2*asinh(|p - q| * sqrt(1 + z1) * sqrt(1 + z2) / 2) on the sheet.
 
-    Equal to arccosh(-<v1,v2>), since <w,w> = -2 - 2<v1,v2> = 4 sinh^2(d/2),
-    but without the cancellation of arccosh near 1 that loses small distances.
-    Accuracy domain: for two points a distance d apart at height z, the
-    relative error is about u*z^2/d (u = 2^-53), since each coordinate is
-    rounded to about u*z while w has components of about d*z.  Against
-    50-digit mpmath it reached 4.95e-6 at d near 1e-10 with |p| <= 0.9 in
-    the disk, and it grows as z^2 toward the boundary.
+    p = (x1, y1)/(1 + z1) and q are the points' disk coordinates, and the
+    form is the disk's sinh(d/2) = |p - q| / sqrt((1 - |p|^2)(1 - |q|^2)),
+    since 1 - |p|^2 = 2/(1 + z1).  Nothing is squared or cancels but p - q,
+    so for two points a distance d apart at height z the relative error is
+    about u*z/d (u = 2^-53): p is rounded to about u, and |p - q| is about
+    d/z.  Against 50-digit mpmath it stays within 8u*(1 + z/d).
     """
     (x1, y1, z1), (x2, y2, z2) = v1, v2
-    dx, dy, dz = x1 - x2, y1 - y2, z1 - z2
-    return 2.0 * math.asinh(math.sqrt(max(dx * dx + dy * dy - dz * dz, 0.0)) / 2.0)
+    s1, s2 = 1.0 + z1, 1.0 + z2
+    gap = math.hypot(x1 / s1 - x2 / s2, y1 / s1 - y2 / s2)
+    return 2.0 * math.asinh(0.5 * gap * math.sqrt(s1) * math.sqrt(s2))

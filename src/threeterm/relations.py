@@ -239,10 +239,41 @@ def cross_ratio_invariant(t: SixTuple) -> Scalar:
         raise DegenerateError("cross-ratio invariant leaves the float range") from None
 
 
+def _ratio(b: Scalar, a: Scalar) -> Scalar:
+    """b/a for a nonzero a, formed from frexp parts as in _scaled_product.
+
+    Python's complex division overflows inside for parts above about 2^1022,
+    and gives nan or 0 where the quotient is a float.  Each of b and a is
+    scaled by its larger part's power of two, exactly unless its smaller part
+    lies more than 2^1021 below: that part then loses bits, or goes to 0
+    beyond 2^1074 (complex(1e300, 1e-300)/1.0 gives (1e300, 0.0), not
+    (1e300, 1e-300)).  Elsewhere the bits are those of b/a.  A quotient
+    beyond the float range raises DegenerateError.
+    """
+    eb, ea = (math.frexp(max(abs(v.real), abs(v.imag)))[1] for v in (b, a))
+    try:
+        return _ldexp(_ldexp(b, -eb) / _ldexp(a, -ea), eb - ea)
+    except OverflowError:
+        raise DegenerateError(f"ratio {b!r}/{a!r} leaves the float range") from None
+
+
 def _principal_sqrt(x: Scalar) -> Scalar:
     if isinstance(x, complex) or x < 0.0:
         return cmath.sqrt(x)
     return math.sqrt(x)
+
+
+def _from_ratios(c12: Scalar, c13: Scalar, c14: Scalar, c23: Scalar) -> TorusElement:
+    """q with q1 the principal square root of c12*c13/c23 and q_j = c_1j/q1."""
+    q1_squared = c12 * c13 / c23
+    try:
+        in_range = _TINY <= abs(q1_squared) <= _HUGE
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        q1_squared = c12 * (c13 / c23)  # c12*c13 alone left the float range
+    q1 = _principal_sqrt(q1_squared)
+    return TorusElement(q1, c12 / q1, c13 / q1, c14 / q1)
 
 
 def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> TorusElement:
@@ -273,19 +304,14 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
     if differ:
         raise NotSameOrbitError(None, inv_a, inv_b)
     (a12, a13, a14, a23, a24, a34), (b12, b13, b14, b23, _, _) = a, b
-    c12, c13, c14, c23 = b12 / a12, b13 / a13, b14 / a14, b23 / a23
-    # A ratio c_ij that under- or overflowed gives a zero divisor here or a
-    # zero or non-finite q_i, which TorusElement rejects.
+    # A ratio c_ij that under- or overflowed gives a zero divisor or a zero or
+    # non-finite q_i, which TorusElement rejects.  So does a complex division
+    # that overflowed inside, and the ratios are then formed by _ratio.
     try:
-        q1_squared = c12 * c13 / c23
         try:
-            in_range = _TINY <= abs(q1_squared) <= _HUGE
-        except OverflowError:
-            in_range = False
-        if not in_range:
-            q1_squared = c12 * (c13 / c23)  # c12*c13 alone left the float range
-        q1 = _principal_sqrt(q1_squared)
-        q = TorusElement(q1, c12 / q1, c13 / q1, c14 / q1)
+            q = _from_ratios(b12 / a12, b13 / a13, b14 / a14, b23 / a23)
+        except (ZeroDivisionError, DegenerateError):
+            q = _from_ratios(_ratio(b12, a12), _ratio(b13, a13), _ratio(b14, a14), _ratio(b23, a23))
     except (ZeroDivisionError, DegenerateError):
         raise DegenerateError(
             "rescaling leaves the float range: a ratio b_ij/a_ij or q_i is 0 or not finite"

@@ -66,6 +66,25 @@ class TestMeasure:
         )
         assert dev <= 1e-8
 
+    @pytest.mark.parametrize("alpha,radii", [
+        (None, None),
+        ([0.1, 0.6, 1.2, 2.0], [1e-160] * 4),
+        ([0.1, 0.6, 1.2, 2.0], [1e-308] * 4),
+        # Tangency points 2e-9 apart: the plain pairing cannot resolve lambda_12.
+        ([0.0, 1e-9, 1.0, 2.0], [1e-9, 1e-10, 0.1, 0.1]),
+    ])
+    def test_lambda_beyond_the_plain_pairing(self, tmp_path, capsys, alpha, radii):
+        # Radii near 1e-200 put z near 7e199, so z_i*z_j, and the plain
+        # light-cone pairing with it, overflows (the fixture); lambda_length
+        # then takes the gap of the ideal points.
+        path = DATA / "tiny_radii_pairing_overflow.json"
+        if radii is not None:
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps({"concyclic": {"alpha": alpha, "radii": radii}}))
+        code, out, _ = run(capsys, "measure", str(path), "--json")
+        assert code == 0
+        assert all(json.loads(out)["pass"].values())
+
     def test_no_table_flag(self, capsys):
         # The table is what measure prints without --json; there is no flag for it.
         with pytest.raises(SystemExit) as info:
@@ -240,6 +259,18 @@ class TestRescale:
         assert code == 0
         for got in json.loads(out)["q"]:
             assert abs(abs(got) - q) <= 1e-12 * q
+
+    def test_complex_division_overflow(self, tmp_path, capsys):
+        # Python's complex division of (1.7e308, 1.7e308) by itself overflows
+        # inside and gives nan; the ratios are formed from frexp parts instead.
+        path = tmp_path / "big.json"
+        path.write_text("[1, 1, [1.7e308, 1.7e308], 1, 1, [-1.7e308, -1.7e308]]")
+        code, out, _ = run(capsys, "rescale", str(path), str(path), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert [complex(*v) if isinstance(v, list) else v for v in doc["q"]] == [1, 1, 1, 1]
+        for row in doc["verification"].values():
+            assert row["deviation"] == 0.0
 
     def test_orbit_mismatch_beyond_float_range(self, capsys):
         code, out, err = run(

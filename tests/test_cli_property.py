@@ -15,8 +15,12 @@ tol*|b_ij| on every pair, each modulus formed without overflow.  The term
 4*eta, four of the smallest subnormal, allows for the products in a minor's
 component that underflow, each off by up to eta/2.
 
-Example budget: 80 examples per subcommand, 480 in all, about 3 s on a
-2-vCPU host.
+`measure` on configurations that ConcyclicConfig accepts, with radii
+log-uniform in [1e-300, 0.6], exits 0 or 1: the families and their checks
+stay finite however small the circles.
+
+Example budget: 80 examples per subcommand, 480 in all, and 100 valid
+configurations, about 4 s on a 2-vCPU host.
 """
 
 import ast
@@ -29,10 +33,12 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from threeterm.cli import main
+from threeterm.errors import ConfigurationError
+from threeterm.measurements import ConcyclicConfig
 from threeterm.relations import DEFAULT_TOL, PAIRS
 
 EXAMPLES = settings(max_examples=80, deadline=None)
@@ -167,8 +173,8 @@ def _reject(constant):
 
 
 def _check(argv, as_json, svg=None):
-    """Run main(argv) and assert the contract for its outcome; the text printed
-    on exit 0, else None."""
+    """Run main(argv) and assert the contract for its outcome; the exit code
+    (None for argparse's exit) and the text printed on exit 0, else None."""
     if svg is not None:
         svg.unlink(missing_ok=True)
     out = io.StringIO()
@@ -177,10 +183,10 @@ def _check(argv, as_json, svg=None):
             code = main(argv)
         except SystemExit as exc:
             assert exc.code == 2, argv
-            return None
+            return None, None
     assert code in (0, 1, 2, 3, 4), argv
     if code != 0:
-        return None
+        return code, None
     text = out.getvalue()
     if as_json:
         json.loads(text, parse_constant=_reject)
@@ -188,7 +194,7 @@ def _check(argv, as_json, svg=None):
         assert not NONFINITE.search(text), (argv, text)
     if svg is not None:
         assert not NONFINITE.search(svg.read_text(encoding="utf-8")), argv
-    return text
+    return code, text
 
 
 def _scalar(v):
@@ -228,6 +234,21 @@ def test_measure(workdir, doc, as_json, tol_text):
     _check(["measure", _write(workdir / "config.json", doc), *_flags(as_json, tol_text)], as_json)
 
 
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.lists(st.floats(min_value=0.0, max_value=math.pi), min_size=4, max_size=4, unique=True),
+       log_radii=st.lists(st.floats(min_value=-300.0, max_value=math.log10(0.6)), min_size=4, max_size=4),
+       as_json=st.booleans())
+def test_measure_valid_configs(workdir, alpha, log_radii, as_json):
+    alpha, radii = sorted(alpha), [10.0**k for k in log_radii]
+    try:
+        ConcyclicConfig(alpha, radii)
+    except ConfigurationError:
+        assume(False)
+    doc = {"concyclic": {"alpha": alpha, "radii": radii}}
+    code, _ = _check(["measure", _write(workdir / "config.json", doc), *_flags(as_json)], as_json)
+    assert code in (0, 1), doc
+
+
 @EXAMPLES
 @given(doc=configs)
 def test_render(workdir, doc):
@@ -240,7 +261,7 @@ def test_render(workdir, doc):
 def test_rescale(workdir, pair, as_json, tol_text):
     a, b = ([_json_value(v) for v in t] for t in pair)
     paths = _write(workdir / "a.json", a), _write(workdir / "b.json", b)
-    text = _check(["rescale", *paths, *_flags(as_json, tol_text)], as_json)
+    _, text = _check(["rescale", *paths, *_flags(as_json, tol_text)], as_json)
     if text is None:
         return
     if as_json:
@@ -264,7 +285,7 @@ def test_plucker_minors(workdir, rows, as_json):
 @given(p=sixtuples, as_json=st.booleans(), tol_text=tol)
 def test_plucker_reconstruct(workdir, p, as_json, tol_text):
     path = _write(workdir / "p.json", [_json_value(v) for v in p])
-    text = _check(["plucker", "reconstruct", path, *_flags(as_json, tol_text)], as_json)
+    _, text = _check(["plucker", "reconstruct", path, *_flags(as_json, tol_text)], as_json)
     if text is None:
         return
     if as_json:

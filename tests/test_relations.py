@@ -18,6 +18,7 @@ from threeterm.relations import (
     SixTuple,
     TorusElement,
     _ldexp,
+    _ratio,
     _residual_and_scale,
     cross_ratio_invariant,
     cross_ratio_points,
@@ -532,6 +533,26 @@ class TestRescalingSolve:
         with pytest.raises(NotSameOrbitError, match="invariants differ") as info:
             rescaling_solve(SixTuple(z, z, 1, 1, 1, 1), SixTuple(1, 2, 1, 1, 2, 3))
         assert info.value.invariant_a == z
+
+    def test_complex_division_beyond_float_range(self):
+        # b13/a13 with both (1.7e308, 1.7e308) is nan in Python's complex
+        # division, which overflows inside; from frexp parts it is 1.
+        big = complex(1.7e308, 1.7e308)
+        t = SixTuple(1, 1, big, 1, 1, -big)
+        assert rescaling_solve(t, t).values() == (1, 1, 1, 1)
+        b = SixTuple(1, 1, big / 2, 1, 0.5, -big / 2)
+        assert_plus_minus(rescaling_solve(t, b), (1, 1, 1, 0.5))
+        q = TorusElement(0.5, 2.0, 1j, 1.0)
+        assert_plus_minus(rescaling_solve(t, torus_apply(q, t)), q.values())
+
+    def test_ratio_parts_far_apart(self):
+        # _ratio scales each operand by its larger part's power of two; a
+        # smaller part more than 2^1074 below that goes to 0, where plain
+        # division keeps it.  Parts in range give the bits of b/a.
+        b = complex(1e300, 1e-300)
+        assert b / 1.0 == b and _ratio(b, 1.0) == complex(1e300, 0.0)
+        for b, a in ((3 + 4j, 0.1 - 7j), (2.5, 1e-300), (1e-300j, 3e200 + 1j)):
+            assert _ratio(b, a) == b / a
 
     def test_ratio_tuple_zero_rejected(self):
         # a zero entry in the target tuple makes a zero ratio b_ij/a_ij
