@@ -39,6 +39,7 @@ from .relations import (
     PAIRS,
     SixTuple,
     TorusElement,
+    _quarter_modulus,
     _ratio,
     cross_ratio_points,
     relative_residual,
@@ -244,11 +245,16 @@ def cmd_rescale(args) -> int:
     verification = {}
     for (i, j), av, bv in zip(PAIRS, a, b):
         product = qs[i] * qs[j]
-        ratio = _ratio(bv, av)
+        # The figure rescaling_solve tests: |q_i*q_j*a_ij - b_ij| / |b_ij|.
+        gap = product * av - bv
+        try:
+            deviation = abs(gap) / abs(bv)
+        except OverflowError:
+            deviation = _quarter_modulus(gap) / _quarter_modulus(bv)
         verification[f"{i}{j}"] = {
             "q_i_q_j": _json_scalar(product),
-            "c_ij": _json_scalar(ratio),
-            "deviation": _modulus(product - ratio),
+            "c_ij": _json_scalar(_ratio(bv, av)),
+            "deviation": deviation,
         }
     text = _dump({"q": [_json_scalar(v) for v in q], "verification": verification})
     if args.json:

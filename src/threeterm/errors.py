@@ -1,5 +1,6 @@
 """Exception types shared across the library.  OffQuadricError and NotSameOrbitError
-carry their margins as fields and build their message from them when it is read."""
+carry their margins as fields, kept in args, and build their message from them
+when it is read."""
 
 
 class GeometryError(ValueError):
@@ -18,14 +19,29 @@ class ConfigurationError(GeometryError):
     """Four-circle configuration violates ordering or disjointness requirements."""
 
 
-class OffQuadricError(GeometryError):
+class _MarginError(GeometryError):
+    """An error whose args are its fields, all of them, in the order of _fields
+    (message first); each field is a read-only property over args.
+
+    So BaseException.__new__(cls, *fields) builds a complete error without
+    running any Python code, which is how the library raises one.  The public
+    constructor fills the same args, and copy and pickle rebuild through it.
+    """
+
+    def __init_subclass__(cls):
+        for k, name in enumerate(cls._fields):
+            setattr(cls, name, property(lambda self, k=k: self.args[k]))
+
+
+class OffQuadricError(_MarginError):
     """A six-tuple required to satisfy the 3-term relation does not; it carries
     the residual, the relative residual, the tolerance that it exceeded and
     what names the tuple."""
 
+    _fields = ("message", "residual", "relative_residual", "tol", "what")
+
     def __init__(self, message=None, residual=None, relative_residual=None, tol=None, what="tuple"):
-        self.message, self.residual, self.relative_residual = message, residual, relative_residual
-        self.tol, self.what = tol, what
+        self.args = (message, residual, relative_residual, tol, what)
 
     def __str__(self):
         if self.message is not None:
@@ -33,15 +49,16 @@ class OffQuadricError(GeometryError):
         return f"{self.what} is off the quadric: relative residual {self.relative_residual}"
 
 
-class NotSameOrbitError(GeometryError):
+class NotSameOrbitError(_MarginError):
     """Two six-tuples do not lie in the same rescaling orbit; it carries both
     cross-ratio invariants and, if they agree, the pair (i, j) the solved rescaling
     misses, its deviation |q_i*q_j*a_ij - b_ij|/|b_ij| and the tolerance exceeded."""
 
+    _fields = ("message", "invariant_a", "invariant_b", "pair", "deviation", "tol")
+
     def __init__(self, message=None, invariant_a=None, invariant_b=None, pair=None,
                  deviation=None, tol=None):
-        self.message, self.invariant_a, self.invariant_b = message, invariant_a, invariant_b
-        self.pair, self.deviation, self.tol = pair, deviation, tol
+        self.args = (message, invariant_a, invariant_b, pair, deviation, tol)
 
     def __str__(self):
         if self.message is not None:

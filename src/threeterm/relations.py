@@ -13,7 +13,8 @@ _Named is the package's value idiom for a few named entries, and _Frozen, a
 slotted value that rebuilds through its checks, the one for the rest.
 _minors is the package's one routine for the 2x2 minors of four columns.
 A rejection raises OffQuadricError or NotSameOrbitError with its margins as
-fields; the error builds its message from them only when it is read.
+fields, built by _new_error so that no Python code runs for it; the error
+builds its message from them only when it is read.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ _PAIRS0 = tuple((i - 1, j - 1) for i, j in PAIRS)
 # (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).  It is
 # a margin for inputs given to about ten significant digits.
 DEFAULT_TOL = 1e-10
+
+# Builds an error from its complete args without calling its __init__: see
+# errors._MarginError.
+_new_error = BaseException.__new__
 
 # The normal floats: a product in this range carries its full precision.
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
@@ -204,7 +209,7 @@ def is_on_quadric(t: SixTuple, tol: float) -> bool:
 def _off_quadric(t: SixTuple, tol: float, what: str = "tuple") -> OffQuadricError:
     """The error for a tuple that is_on_quadric(t, tol) rejected, so of scale > 0."""
     res, scale, e = _residual_and_scale(t)
-    return OffQuadricError(None, residual(t) if e else res, abs(res) / scale, tol, what)
+    return _new_error(OffQuadricError, None, residual(t) if e else res, abs(res) / scale, tol, what)
 
 
 def torus_apply(q: TorusElement, t: SixTuple) -> SixTuple:
@@ -302,7 +307,7 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
         differ = _quarter_modulus(inv_a - inv_b) > tol * max(_quarter_modulus(inv_a),
                                                               _quarter_modulus(inv_b))
     if differ:
-        raise NotSameOrbitError(None, inv_a, inv_b)
+        raise _new_error(NotSameOrbitError, None, inv_a, inv_b, None, None, None)
     (a12, a13, a14, a23, a24, a34), (b12, b13, b14, b23, _, _) = a, b
     # A ratio c_ij that under- or overflowed gives a zero divisor or a zero or
     # non-finite q_i, which TorusElement rejects.  So does a complex division
@@ -327,7 +332,7 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
         except OverflowError:
             gap, size = _quarter_modulus(qa - bv), _quarter_modulus(bv)
         if gap > tol * size:
-            raise NotSameOrbitError(None, inv_a, inv_b, pair, gap / size, tol)
+            raise _new_error(NotSameOrbitError, None, inv_a, inv_b, pair, gap / size, tol)
     return q
 
 

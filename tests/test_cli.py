@@ -272,6 +272,22 @@ class TestRescale:
         for row in doc["verification"].values():
             assert row["deviation"] == 0.0
 
+    def test_deviation_is_the_tested_relative_figure(self, tmp_path, capsys):
+        # rescaling_solve tests |q_i*q_j*a_ij - b_ij| / |b_ij|; an absolute
+        # |q_i*q_j - c_ij| read 3.6e+134 here on a correct answer.
+        chords = json.loads((DATA / "square_chords.json").read_text())
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps([1e150 * v for v in chords]))
+        argv = ("rescale", str(DATA / "square_chords.json"), str(path))
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0
+        deviations = [row["deviation"] for row in json.loads(out)["verification"].values()]
+        assert 0.0 < max(deviations) <= 4 * 2.0**-53
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        printed = [float(line.split()[-1]) for line in out.splitlines()[5:]]
+        assert printed == [float(f"{d:.3e}") for d in deviations]
+
     def test_orbit_mismatch_beyond_float_range(self, capsys):
         code, out, err = run(
             capsys,

@@ -11,7 +11,8 @@ Infinity, and text output (and a rendered SVG) holds no "nan" or "inf".
 On exit 0 the printed answers also round-trip, read back from either output
 form: the rows of `plucker reconstruct` give back the input's minors within
 (tol + 8u)*max|p| + 4*eta, and the q of `rescale` gives |q_i*q_j*a_ij - b_ij| <=
-tol*|b_ij| on every pair, each modulus formed without overflow.  The term
+tol*|b_ij| on every pair, each modulus formed without overflow (and in --json
+the printed deviation of every pair, that same ratio, is within tol).  The term
 4*eta, four of the smallest subnormal, allows for the products in a minor's
 component that underflow, each off by up to eta/2.
 
@@ -265,7 +266,10 @@ def test_rescale(workdir, pair, as_json, tol_text):
     if text is None:
         return
     if as_json:
-        q = [_scalar(v) for v in json.loads(text)["q"]]
+        doc = json.loads(text)
+        q = [_scalar(v) for v in doc["q"]]
+        # The printed deviations are the ones rescaling_solve tested.
+        assert all(row["deviation"] <= _tol(tol_text) for row in doc["verification"].values())
     else:
         q = [_printed_scalar(line.split(" = ")[1]) for line in text.splitlines()[:4]]
     qs = (None, *q)

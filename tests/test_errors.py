@@ -1,5 +1,6 @@
-"""The quadric and orbit errors: their margins are fields, and the message is
-built from those fields when it is read, the same text as before to the byte."""
+"""The quadric and orbit errors: their margins are fields, kept in args, and the
+message is built from those fields when it is read, the same text as before to
+the byte.  The library raises them without running any code of errors.py."""
 
 import copy
 import pickle
@@ -8,6 +9,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from threeterm import errors
 from threeterm.errors import NotSameOrbitError, OffQuadricError
 from threeterm.grassmann import reconstruct
 from threeterm.relations import PAIRS, SixTuple, rescaling_solve
@@ -32,18 +34,22 @@ def raised(call) -> Exception:
     raise AssertionError("no error raised")
 
 
-def library_errors() -> list:
-    """One error from each place the library raises these two."""
+def library_rejections() -> list:
+    """One call for each place the library raises these two."""
     off = SixTuple(1, 1, 1, 1, 1, 1)
     tiny = SixTuple(1e-170, 2e-170, 3e-170, 4e-170, 5e-170, 6e-170)
     a = SixTuple(1e-3, 1.0, 1.0, 1.0, 1.0 + 1e-6, 1e-3)
     return [
-        raised(lambda: rescaling_solve(off, SQUARE)),
-        raised(lambda: rescaling_solve(SQUARE, tiny)),
-        raised(lambda: reconstruct(SixTuple(1j, 1, 1, 1, 1, 1))),
-        raised(lambda: rescaling_solve(SQUARE, SixTuple(1, 2, 1, 1, 2, 3))),
-        raised(lambda: rescaling_solve(a, SixTuple(*a[:5], 1e-3 * (1 + 1e-3)), 1e-5)),
+        lambda: rescaling_solve(off, SQUARE),
+        lambda: rescaling_solve(SQUARE, tiny),
+        lambda: reconstruct(SixTuple(1j, 1, 1, 1, 1, 1)),
+        lambda: rescaling_solve(SQUARE, SixTuple(1, 2, 1, 1, 2, 3)),
+        lambda: rescaling_solve(a, SixTuple(*a[:5], 1e-3 * (1 + 1e-3)), 1e-5),
     ]
+
+
+def library_errors() -> list:
+    return [raised(call) for call in library_rejections()]
 
 
 def ready_errors() -> list:
@@ -56,9 +62,33 @@ def ready_errors() -> list:
 
 
 def snapshot(exc) -> tuple:
-    """Type, fields (by repr, which tells -0.0 from 0.0 and shows NaN), str and repr."""
+    """Type, args and fields (by repr, which tells -0.0 from 0.0 and shows NaN),
+    str and repr."""
     fields = tuple(repr(getattr(exc, name)) for name in FIELDS[type(exc)])
-    return type(exc), fields, str(exc), repr(exc)
+    return type(exc), repr(exc.args), fields, str(exc), repr(exc)
+
+
+def twin(exc):
+    """The error that the public constructor builds from exc's fields."""
+    return type(exc)(*(getattr(exc, name) for name in FIELDS[type(exc)]))
+
+
+def errors_py_calls(call) -> list:
+    """The names of the functions of errors.py that run during call()."""
+    seen = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == errors.__file__:
+            seen.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    except (OffQuadricError, NotSameOrbitError):
+        pass
+    finally:
+        sys.setprofile(None)
+    return seen
 
 
 COPIES = [copy.copy, copy.deepcopy] + [
@@ -72,6 +102,38 @@ COPIES = [copy.copy, copy.deepcopy] + [
 def test_copies_keep_type_fields_and_text(how):
     for exc in library_errors() + ready_errors():
         assert snapshot(how(exc)) == snapshot(exc)
+
+
+def test_library_raises_run_no_python_of_errors_py():
+    for call in library_rejections():
+        assert errors_py_calls(call) == []
+    # The probe does see the public constructor and the message.
+    seen = errors_py_calls(lambda: str(OffQuadricError(None, 1.0, 1.0, 1e-10)))
+    assert {"__init__", "__str__"} <= set(seen)
+
+
+@pytest.mark.parametrize("how", [lambda exc: exc] + COPIES, ids=["itself", "copy", "deepcopy"] + [
+    f"pickle{p}" for p in range(pickle.HIGHEST_PROTOCOL + 1)])
+def test_library_errors_equal_their_constructed_twins(how):
+    for exc in library_errors():
+        assert len(exc.args) == len(FIELDS[type(exc)])
+        assert snapshot(how(exc)) == snapshot(twin(exc))
+
+
+def test_fields_are_read_only():
+    for exc in library_errors() + ready_errors():
+        for name in FIELDS[type(exc)]:
+            with pytest.raises(AttributeError):
+                setattr(exc, name, None)
+
+
+def test_ready_errors_fill_every_field():
+    assert [exc.args for exc in ready_errors()] == [
+        ("ready message", -0.0, None, None, "tuple"),
+        ("ready message", 1.0, 0.5, 1e-10, "first tuple"),
+        ("ready message", 1j, 2.0, None, None, None),
+        ("ready message", None, None, (1, 2), None, None),
+    ]
 
 
 def test_library_messages():
