@@ -39,10 +39,9 @@ from .relations import (
     PAIRS,
     SixTuple,
     TorusElement,
-    _quarter_modulus,
-    _ratio,
     cross_ratio_points,
     relative_residual,
+    rescaling_fit,
     rescaling_solve,
     residual,
     torus_apply,
@@ -165,14 +164,6 @@ def _max_rel_dev(lhs, rhs) -> float:
     return worst
 
 
-def _modulus(z) -> float:
-    """|z|, or inf where a complex modulus exceeds the float range (abs raises there)."""
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf
-
-
 def _dump(doc: dict) -> str:
     """doc as indented JSON, checked in text mode too: a NaN or infinite value
     raises DegenerateError (exit 3), so no run prints one."""
@@ -241,30 +232,23 @@ def cmd_measure(args) -> int:
 def cmd_rescale(args) -> int:
     a, b = _read_sixtuple(args.file_a), _read_sixtuple(args.file_b)
     q = rescaling_solve(a, b, tol=args.tol)
-    qs = (None, *q)
-    verification = {}
-    for (i, j), av, bv in zip(PAIRS, a, b):
-        product = qs[i] * qs[j]
-        # The figure rescaling_solve tests: |q_i*q_j*a_ij - b_ij| / |b_ij|.
-        gap = product * av - bv
-        try:
-            deviation = abs(gap) / abs(bv)
-        except OverflowError:
-            deviation = _quarter_modulus(gap) / _quarter_modulus(bv)
-        verification[f"{i}{j}"] = {
-            "q_i_q_j": _json_scalar(product),
-            "c_ij": _json_scalar(_ratio(bv, av)),
-            "deviation": deviation,
-        }
+    # The deviations are the figures that rescaling_solve tested.
+    verification = {
+        f"{i}{j}": {"q_i_q_j": _json_scalar(product), "c_ij": _json_scalar(ratio),
+                    "deviation": deviation}
+        for (i, j), (product, ratio, deviation) in zip(PAIRS, rescaling_fit(q, a, b))
+    }
     text = _dump({"q": [_json_scalar(v) for v in q], "verification": verification})
     if args.json:
         print(text)
     else:
         for k, value in enumerate(q, start=1):
             print(f"q{k} = {value}")
-        print("pair   q_i*q_j              c_ij                 |deviation|")
-        for key, row in verification.items():
-            print(f"{key:>4}   {row['q_i_q_j']!s:<20} {row['c_ij']!s:<20} {row['deviation']:.3e}")
+        w1, w2 = (max(20, *(len(str(row[name])) for row in verification.values()))
+                  for name in ("q_i_q_j", "c_ij"))
+        print(f"pair   {'q_i*q_j':<{w1}} {'c_ij':<{w2}} |deviation|")
+        for key, r in verification.items():
+            print(f"{key:>4}   {r['q_i_q_j']!s:<{w1}} {r['c_ij']!s:<{w2}} {r['deviation']:.3e}")
     return EXIT_OK
 
 
@@ -291,7 +275,7 @@ def cmd_plucker_reconstruct(args) -> int:
     check = minors(matrix)
     doc = {
         "rows": rows,
-        "max_minor_deviation": max(_modulus(pv - cv) for pv, cv in zip(p, check)),
+        "max_minor_deviation": max(abs(pv - cv) for pv, cv in zip(p, check)),
     }
     text = _dump(doc)
     if args.json:

@@ -98,8 +98,8 @@ def reconstruct(p: SixTuple, tol: float = DEFAULT_TOL) -> Matrix2x4:
     vals = tuple(map(to, p))
     try:
         mags = [abs(v) for v in vals]
-    except OverflowError:
-        raise DomainError("an entry's modulus is beyond the float range") from None
+    except OverflowError:  # a complex modulus beyond the float range: compare quarters
+        mags = [abs(v / 4) for v in vals]
     size = max(mags)
     pivot = mags.index(size)
     i, j, rest = _PIVOTS[pivot]

@@ -7,6 +7,11 @@ Two nonvanishing on-quadric tuples lie in the same orbit exactly when their
 cross-ratio invariants a12*a34/(a23*a14) agree, and in that case the solver
 below constructs the rescaling, unique up to a global sign.
 
+Where a plain product or quotient leaves the float range, the quadric test,
+the invariant and the solver work on _balanced(t), the image of t under
+q_i = 2^k_i with its largest monomial near 1: all three monomials change by
+one power of two, exactly, barring underflow below 2^-1022 of the largest.
+
 SixTuple and TorusElement are tuples that check their entries on every
 construction path, so the functions below unpack and iterate them directly.
 _Named is the package's value idiom for a few named entries, and _Frozen, a
@@ -22,7 +27,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from operator import itemgetter
+from operator import itemgetter, sub
 
 from .errors import DegenerateError, NotSameOrbitError, OffQuadricError
 
@@ -151,20 +156,21 @@ def _ldexp(v: Scalar, e: int) -> Scalar:
     return math.ldexp(v, e)
 
 
-def _scaled_product(x: Scalar, y: Scalar) -> tuple[Scalar, int]:
-    """(m, e) with x*y = m * 2**e, m formed from frexp mantissas (|m| below 2).
-
-    Neither overflows nor underflows, whatever the exponents of x and y.
+def _balanced(t: SixTuple) -> tuple[SixTuple, tuple[int, ...]]:
+    """(t', k): the image t'_ij = 2^(k_i+k_j)*t_ij of t under q_i = 2^k_i in
+    which each monomial's two factors have about equal exponents and the
+    largest monomial lies near 1.  These four conditions on k have the
+    orthogonal rows of a Hadamard matrix H, so k = H^T r/4, rounded.  A zero
+    entry takes the exponent -9999: its monomial, zero anyway, sets no level.
     """
-    ex, ey = (math.frexp(max(abs(v.real), abs(v.imag)))[1] for v in (x, y))
-    return _ldexp(x, -ex) * _ldexp(y, -ey), ex + ey
-
-
-def _quarter_modulus(z: Scalar) -> float:
-    """|z|/4, for where abs(z) raised OverflowError: a complex z with finite parts
-    can have a modulus beyond the float range.  math.hypot, not abs: after such an
-    error, CPython's abs() of a complex NaN raises it again from the stale errno."""
-    return math.hypot(z.real * 0.25, z.imag * 0.25)
+    e12, e13, e14, e23, e24, e34 = [math.frexp(max(abs(v.real), abs(v.imag)))[1] if v else -9999
+                                    for v in t]
+    r1, r2, r3 = e34 - e12, e23 - e14, e24 - e13
+    level = max(e12 + e34, e14 + e23, e13 + e24)
+    # H's rows: (1, 1, -1, -1), (1, -1, -1, 1), (1, -1, 1, -1) and (1, 1, 1, 1).
+    k = ((r1 + r2 + r3 - level + 2) // 4, (r1 - r2 - r3 - level + 2) // 4,
+         (r3 - r1 - r2 - level + 2) // 4, (r2 - r1 - r3 - level + 2) // 4)
+    return SixTuple(*[_ldexp(v, k[i] + k[j]) for (i, j), v in zip(_PAIRS0, t)]), k
 
 
 def _residual_and_scale(t: SixTuple) -> tuple[Scalar, float, int]:
@@ -173,8 +179,9 @@ def _residual_and_scale(t: SixTuple) -> tuple[Scalar, float, int]:
 
     e is 0, and r is residual(t) bit for bit, while s lies in [2^-969, 2^1022],
     where no sum overflows and one below 2^-1022 is under 2^-53 of the largest.
-    Outside it, the monomials are formed from frexp mantissas and exponents,
-    scaled so that the largest is near 1: t and 2^k*t give the same answers.
+    Outside it, r and s are those of _balanced(t): exact powers of two times
+    those of t, barring underflow below 2^-1022 of the largest monomial, so t
+    and its images under q_i = 2^k_i answer alike.
     """
     a12, a13, a14, a23, a24, a34 = t
     m1, m2, m3 = a12 * a34, a14 * a23, a13 * a24
@@ -184,10 +191,9 @@ def _residual_and_scale(t: SixTuple) -> tuple[Scalar, float, int]:
         scale = math.inf
     if 2.0 ** -969 <= scale <= 2.0 ** 1022:
         return m1 + m2 - m3, scale, 0
-    parts = [_scaled_product(a12, a34), _scaled_product(a14, a23), _scaled_product(a13, a24)]
-    top = max((e for m, e in parts if m), default=0)
-    m1, m2, m3 = (_ldexp(m, e - top) for m, e in parts)
-    return m1 + m2 - m3, max(abs(m1), abs(m2), abs(m3)), top
+    (a12, a13, a14, a23, a24, a34), k = _balanced(t)
+    m1, m2, m3 = a12 * a34, a14 * a23, a13 * a24
+    return m1 + m2 - m3, max(abs(m1), abs(m2), abs(m3)), -sum(k)
 
 
 def relative_residual(t: SixTuple) -> float:
@@ -223,10 +229,11 @@ def torus_apply(q: TorusElement, t: SixTuple) -> SixTuple:
 def cross_ratio_invariant(t: SixTuple) -> Scalar:
     """The complete orbit invariant a12*a34 / (a23*a14) of a nonvanishing tuple.
 
-    While both products are normal floats they are used as they are.
-    Otherwise they are formed from frexp mantissas and exponents, so t and
-    2^k*t give the same invariant anywhere in the float range.  An invariant
-    beyond the float range raises DegenerateError.
+    Both products are used as they are while normal floats, and otherwise
+    taken from _balanced(t) with a13 and a24 (which do not enter) set to 0:
+    powers of two times those of t, exact barring underflow, so t's images
+    under q_i = 2^k_i give the same.  One beyond the float range raises
+    DegenerateError.
     """
     a12, _, a14, a23, _, a34 = t
     num, den = a12 * a34, a23 * a14
@@ -235,50 +242,60 @@ def cross_ratio_invariant(t: SixTuple) -> Scalar:
             return num / den
     except OverflowError:  # a complex product of modulus beyond the float range
         pass
-    (m_num, e_num), (m_den, e_den) = _scaled_product(a12, a34), _scaled_product(a23, a14)
-    if m_den == 0:
+    if not (a23 and a14):
         raise DegenerateError("cross-ratio invariant undefined: a23*a14 = 0")
+    (a12, _, a14, a23, _, a34), _ = _balanced(SixTuple(a12, 0.0, a14, a23, 0.0, a34))
+    num, den = a12 * a34, a23 * a14
+    # Where den, the smaller product, underflowed, the quotient is beyond 2^1022.
+    if not den or not cmath.isfinite(num / den):
+        raise DegenerateError("cross-ratio invariant leaves the float range")
+    return num / den
+
+
+def _from_ratios(a: SixTuple, b: SixTuple) -> TorusElement:
+    """q with q1 the principal square root of c12*c13/c23, q_j = c_1j/q1, c_ij = b_ij/a_ij."""
+    (a12, a13, a14, a23, _, _), (b12, b13, b14, b23, _, _) = a, b
+    c12, c13, c14 = b12 / a12, b13 / a13, b14 / a14
+    q1_sq = c12 * c13 / (b23 / a23)
+    q1 = (cmath.sqrt if isinstance(q1_sq, complex) or q1_sq < 0.0 else math.sqrt)(q1_sq)
+    return TorusElement(q1, c12 / q1, c13 / q1, c14 / q1)
+
+
+def _deviations(q: TorusElement, a: SixTuple, b: SixTuple) -> tuple[tuple, list[float]]:
+    """The q_i*q_j and the deviations |q_i*q_j*a_ij - b_ij| / |b_ij| that rescaling_solve
+    tests, from _balanced(a) and _balanced(b) where a modulus leaves the float range."""
+    q1, q2, q3, q4 = q
+    products = (q1 * q2, q1 * q3, q1 * q4, q2 * q3, q2 * q4, q3 * q4)
+    deviations = []
     try:
-        return _ldexp(m_num / m_den, e_num - e_den)
-    except OverflowError:
-        raise DegenerateError("cross-ratio invariant leaves the float range") from None
+        for p, av, bv in zip(products, a, b):
+            deviations.append(abs(p * av - bv) / abs(bv))
+        return products, deviations
+    except OverflowError:  # a complex modulus beyond the float range
+        pass
+    (a, ka), (b, kb) = _balanced(a), _balanced(b)
+    return products, [abs(_ldexp(p, kb[i] + kb[j] - ka[i] - ka[j]) * av - bv) / abs(bv)
+                      for (i, j), p, av, bv in zip(_PAIRS0, products, a, b)]
 
 
-def _ratio(b: Scalar, a: Scalar) -> Scalar:
-    """b/a for a nonzero a, formed from frexp parts as in _scaled_product.
-
-    Python's complex division overflows inside for parts above about 2^1022,
-    and gives nan or 0 where the quotient is a float.  Each of b and a is
-    scaled by its larger part's power of two, exactly unless its smaller part
-    lies more than 2^1021 below: that part then loses bits, or goes to 0
-    beyond 2^1074 (complex(1e300, 1e-300)/1.0 gives (1e300, 0.0), not
-    (1e300, 1e-300)).  Elsewhere the bits are those of b/a.  A quotient
-    beyond the float range raises DegenerateError.
-    """
-    eb, ea = (math.frexp(max(abs(v.real), abs(v.imag)))[1] for v in (b, a))
+def rescaling_fit(q: TorusElement, a: SixTuple, b: SixTuple) -> list[tuple[Scalar, Scalar, float]]:
+    """Per pair, in storage order: q_i*q_j, c_ij = b_ij/a_ij and the deviation
+    that rescaling_solve tests.  A c_ij is the plain quotient while that is a
+    normal float, else the balanced tuples' times an exact power of two; one
+    that underflows raises DegenerateError, one beyond the range OverflowError."""
+    ratios = [bv / av for av, bv in zip(a, b)]
     try:
-        return _ldexp(_ldexp(b, -eb) / _ldexp(a, -ea), eb - ea)
-    except OverflowError:
-        raise DegenerateError(f"ratio {b!r}/{a!r} leaves the float range") from None
-
-
-def _principal_sqrt(x: Scalar) -> Scalar:
-    if isinstance(x, complex) or x < 0.0:
-        return cmath.sqrt(x)
-    return math.sqrt(x)
-
-
-def _from_ratios(c12: Scalar, c13: Scalar, c14: Scalar, c23: Scalar) -> TorusElement:
-    """q with q1 the principal square root of c12*c13/c23 and q_j = c_1j/q1."""
-    q1_squared = c12 * c13 / c23
-    try:
-        in_range = _TINY <= abs(q1_squared) <= _HUGE
-    except OverflowError:
+        in_range = all(_TINY <= abs(c) <= _HUGE for c in ratios)
+    except OverflowError:  # a complex modulus beyond the float range
         in_range = False
     if not in_range:
-        q1_squared = c12 * (c13 / c23)  # c12*c13 alone left the float range
-    q1 = _principal_sqrt(q1_squared)
-    return TorusElement(q1, c12 / q1, c13 / q1, c14 / q1)
+        (a_bal, ka), (b_bal, kb) = _balanced(a), _balanced(b)
+        ratios = [_ldexp(bv / av, ka[i] + ka[j] - kb[i] - kb[j])
+                  for (i, j), av, bv in zip(_PAIRS0, a_bal, b_bal)]
+        if 0.0 in ratios:
+            raise DegenerateError("a ratio b_ij/a_ij underflows")
+    products, deviations = _deviations(q, a, b)
+    return list(zip(products, ratios, deviations))
 
 
 def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> TorusElement:
@@ -287,11 +304,14 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
     Both tuples must be nonvanishing and on the quadric within tol.  The
     criterion for solvability is equality of the cross-ratio invariants;
     on success q1 is the principal square root of c12*c13/c23 and the rest
-    follow as q_j = c_1j/q1.  The other valid answer is -q.
+    follow as q_j = c_1j/q1.  The other valid answer is -q.  Where a c_ij or
+    q1^2 leaves the float range, q' is solved for _balanced(a) = 2^ka * a and
+    _balanced(b) = 2^kb * b, and q = q' * 2^(ka - kb): powers of two, exact
+    barring underflow below 2^-1022 of either tuple's largest monomial.
 
-    Raises DegenerateError on zero entries, OffQuadricError when either
-    tuple misses the quadric, and NotSameOrbitError when the invariants
-    disagree (or the reconstructed q fails to match within tol).
+    Raises DegenerateError on zero entries or where q_i or c_ij leaves the
+    float range, OffQuadricError when either tuple misses the quadric, and
+    NotSameOrbitError when the invariants disagree (or q misses a pair).
     """
     if 0.0 in a or 0.0 in b:
         raise DegenerateError("rescaling requires all twelve entries nonzero")
@@ -304,35 +324,30 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
     try:
         differ = abs(inv_a - inv_b) > tol * max(abs(inv_a), abs(inv_b), 1.0)
     except OverflowError:  # compare quarters; the 1.0 is negligible beside such a modulus
-        differ = _quarter_modulus(inv_a - inv_b) > tol * max(_quarter_modulus(inv_a),
-                                                              _quarter_modulus(inv_b))
+        differ = abs(inv_a / 4 - inv_b / 4) > tol * max(abs(inv_a / 4), abs(inv_b / 4))
     if differ:
         raise _new_error(NotSameOrbitError, None, inv_a, inv_b, None, None, None)
-    (a12, a13, a14, a23, a24, a34), (b12, b13, b14, b23, _, _) = a, b
-    # A ratio c_ij that under- or overflowed gives a zero divisor or a zero or
-    # non-finite q_i, which TorusElement rejects.  So does a complex division
-    # that overflowed inside, and the ratios are then formed by _ratio.
+    # A ratio that under- or overflowed, or a complex division that overflowed
+    # inside, gives a zero divisor or a q_i that TorusElement rejects.
     try:
         try:
-            q = _from_ratios(b12 / a12, b13 / a13, b14 / a14, b23 / a23)
+            q = _from_ratios(a, b)
         except (ZeroDivisionError, DegenerateError):
-            q = _from_ratios(_ratio(b12, a12), _ratio(b13, a13), _ratio(b14, a14), _ratio(b23, a23))
-    except (ZeroDivisionError, DegenerateError):
+            (a_bal, ka), (b_bal, kb) = _balanced(a), _balanced(b)
+            q = TorusElement(*map(_ldexp, _from_ratios(a_bal, b_bal), map(sub, ka, kb)))
+        # Postcondition: every pair matches within tol, else the inputs were not
+        # orbit-equivalent at this tolerance.  A sum within tol has no NaN term.
+        deviations = _deviations(q, a, b)[1]
+        if sum(deviations) <= tol:
+            return q
+        rescaling_fit(q, a, b)  # raises where a c_ij leaves the float range
+    except (ZeroDivisionError, DegenerateError, OverflowError):
         raise DegenerateError(
             "rescaling leaves the float range: a ratio b_ij/a_ij or q_i is 0 or not finite"
         ) from None
-    # Postcondition: every pair product matches within tol, else the inputs
-    # were not genuinely orbit-equivalent at this tolerance.
-    q1, q2, q3, q4 = q
-    images = (q1 * q2 * a12, q1 * q3 * a13, q1 * q4 * a14,
-              q2 * q3 * a23, q2 * q4 * a24, q3 * q4 * a34)
-    for pair, qa, bv in zip(PAIRS, images, b):
-        try:
-            gap, size = abs(qa - bv), abs(bv)
-        except OverflowError:
-            gap, size = _quarter_modulus(qa - bv), _quarter_modulus(bv)
-        if gap > tol * size:
-            raise _new_error(NotSameOrbitError, None, inv_a, inv_b, pair, gap / size, tol)
+    for pair, deviation in zip(PAIRS, deviations):
+        if not deviation <= tol:
+            raise _new_error(NotSameOrbitError, None, inv_a, inv_b, pair, deviation, tol)
     return q
 
 

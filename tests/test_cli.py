@@ -262,7 +262,7 @@ class TestRescale:
 
     def test_complex_division_overflow(self, tmp_path, capsys):
         # Python's complex division of (1.7e308, 1.7e308) by itself overflows
-        # inside and gives nan; the ratios are formed from frexp parts instead.
+        # inside and gives nan; the ratios are formed from the balanced tuples instead.
         path = tmp_path / "big.json"
         path.write_text("[1, 1, [1.7e308, 1.7e308], 1, 1, [-1.7e308, -1.7e308]]")
         code, out, _ = run(capsys, "rescale", str(path), str(path), "--json")
@@ -287,6 +287,12 @@ class TestRescale:
         assert code == 0
         printed = [float(line.split()[-1]) for line in out.splitlines()[5:]]
         assert printed == [float(f"{d:.3e}") for d in deviations]
+        # Rows 23, 24 and 34 print reprs of 22 characters; every column stays
+        # in line with the header.
+        header, *rows = out.splitlines()[4:]
+        for column in ("c_ij", "|deviation|"):
+            start = header.index(column)
+            assert all(row[start - 1] == " " != row[start] for row in rows)
 
     def test_orbit_mismatch_beyond_float_range(self, capsys):
         code, out, err = run(
@@ -338,6 +344,20 @@ class TestPlucker:
         )
         assert code == 0
         assert json.loads(out)["max_minor_deviation"] <= 1e-10
+
+    def test_reconstruct_entry_modulus_beyond_float_range(self, tmp_path, capsys):
+        # On the quadric, with entries whose modulus abs() cannot return.
+        path = tmp_path / "big.json"
+        path.write_text("[1, 1, [1.7e308, 1.7e308], 1, 1, [-1.7e308, -1.7e308]]")
+        code, out, _ = run(capsys, "plucker", "reconstruct", str(path), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["max_minor_deviation"] <= 1e-15
+        x, y = ([complex(*v) for v in row] for row in doc["rows"])
+        p = [1, 1, complex(1.7e308, 1.7e308), 1, 1, complex(-1.7e308, -1.7e308)]
+        for (i, j), pv in zip([(1, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 4)], p):
+            minor = x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1]
+            assert abs((minor - pv) / 4) <= 1e-15 * abs(pv / 4)
 
     def test_reconstruct_off_quadric(self, capsys):
         code, _, err = run(

@@ -213,7 +213,7 @@ def _printed_scalar(text):
 
 def _within(gap, size, bound, floor=0.0):
     """|gap| <= bound*|size| + floor, all quartered where a modulus leaves the
-    float range (abs raises there for a complex), as relations._quarter_modulus does."""
+    float range (abs raises there for a complex)."""
     try:
         return abs(gap) <= bound * abs(size) + floor
     except OverflowError:
@@ -297,7 +297,8 @@ def test_plucker_reconstruct(workdir, p, as_json, tol_text):
     else:
         rows = ast.literal_eval(text.splitlines()[0].removeprefix("rows: "))
     x, y = ([_scalar(v) for v in row] for row in rows)
-    largest = max(p, key=abs)  # reconstruct exits 3 where a modulus leaves the float range
+    # The largest by quartered modulus: a complex entry's modulus may leave the float range.
+    largest = max(p, key=lambda v: math.hypot(v.real * 0.25, v.imag * 0.25))
     bound = _tol(tol_text) + 8.0 * U
     for pair, pv, mv in zip(PAIRS, p, _minors(x, y)):
         assert _within(mv - pv, largest, bound, 4.0 * ETA), (p, rows, pair)

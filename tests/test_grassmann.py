@@ -255,11 +255,15 @@ class TestReconstruct:
             assert p.a12 == 0.0
             assert max_minor_dev(p, minors(reconstruct(p))) <= 1e-10
 
-    def test_entry_modulus_beyond_float_range_rejected(self):
-        # On the quadric, but abs() of the entry raises OverflowError.
+    def test_entry_modulus_beyond_float_range(self):
+        # On the quadric, but abs() of an entry raises OverflowError: the pivot
+        # is the largest entry by quartered modulus, and every minor reads
+        # back within tol of p.
         big = complex(1.7e308, 1.7e308)
-        with pytest.raises(DomainError, match="beyond the float range"):
-            reconstruct(SixTuple(1, 1, big, 1, 1, 1 - big))
+        for p in (SixTuple(1, 1, big, 1, 1, 1 - big), SixTuple(0, 0, big, 0, 0, 0),
+                  SixTuple(big, 1, 1, 1, 1, 0)):
+            for pv, mv in zip(p, minors(reconstruct(p))):
+                assert abs((mv - pv) / 4) <= DEFAULT_TOL * abs(pv / 4)
 
     def test_subnormal_complex_pivot(self):
         # Complex division by a subnormal pivot stays finite.

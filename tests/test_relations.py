@@ -18,12 +18,12 @@ from threeterm.relations import (
     SixTuple,
     TorusElement,
     _ldexp,
-    _ratio,
     _residual_and_scale,
     cross_ratio_invariant,
     cross_ratio_points,
     is_on_quadric,
     relative_residual,
+    rescaling_fit,
     rescaling_solve,
     residual,
     torus_apply,
@@ -31,6 +31,7 @@ from threeterm.relations import (
 
 SQRT2 = math.sqrt(2.0)
 SQUARE_CHORDS = SixTuple(SQRT2, 2.0, SQRT2, SQRT2, 2.0, SQRT2)
+PAIRS0 = [(i - 1, j - 1) for i, j in PAIRS]
 
 nonzero_scalar = st.floats(min_value=0.2, max_value=5.0).flatmap(
     lambda m: st.sampled_from([m, -m])
@@ -49,6 +50,20 @@ def six_tuples(draw) -> SixTuple:
 moderate = st.one_of(st.just(0.0), st.floats(min_value=2.0**-20, max_value=2.0**20)).flatmap(
     lambda m: st.sampled_from([m, -m])
 )
+
+
+@st.composite
+def exact_tuples(draw) -> SixTuple:
+    """Entries that are integers or Gaussian integers, parts at most 2^7: the
+    minors of a drawn 2x4 matrix of parts at most 8, on the quadric exactly,
+    or six drawn entries.  Every product of two parts is exact, and 0 or at
+    least 1 in magnitude."""
+    part = st.integers(min_value=-8, max_value=8).map(float)
+    entry = st.builds(complex, part, part) if draw(st.booleans()) else part
+    if draw(st.booleans()):
+        x, y = (draw(st.lists(entry, min_size=4, max_size=4)) for _ in range(2))
+        return SixTuple(*[x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1] for i, j in PAIRS])
+    return SixTuple(*draw(st.lists(entry, min_size=6, max_size=6)))
 
 
 def _bits(*values) -> list:
@@ -179,7 +194,7 @@ class TestResidual:
 
     def test_complex_monomial_modulus_beyond_float_range(self):
         # a14*a23 has finite parts but a modulus beyond the float range, where
-        # abs() raises OverflowError; the frexp path answers instead.
+        # abs() raises OverflowError; the balanced tuple answers instead.
         t = SixTuple(1, 1, complex(1.7976931348623157e308, -0.22), complex(-1, 0.94), 1, 1)
         assert relative_residual(t) == 1.0
         assert not is_on_quadric(t, 1e-10)
@@ -195,7 +210,8 @@ class TestResidual:
         # exact, monomials anywhere from 2^-1120 to 2^1062.  Where the
         # largest lies in the window the pair is (residual, largest monomial)
         # of the tuple itself, with exponent 0; outside it, that of base times
-        # 2^(2k - e), which the frexp branch forms without rounding anew.
+        # 2^(2k - e): the balanced tuple is a power-of-two torus image of
+        # base, so its products and sums round as base's do.
         if is_complex:
             base = SixTuple(*[complex(re, im) for re, im in zip(parts[:6], parts[6:])])
         else:
@@ -212,6 +228,32 @@ class TestResidual:
             if scale:
                 assert e == 2 * k - j
 
+
+    @settings(max_examples=300, deadline=None)
+    @given(t=exact_tuples(), k=st.lists(st.integers(min_value=-700, max_value=700),
+                                        min_size=4, max_size=4))
+    def test_torus_beyond_float_range(self, t, k):
+        # q_i = 2^k_i maps t exactly to an image of normal entries while every
+        # k_i + k_j lies in [-1022, 1015]; its monomials are those of t times
+        # 2^(k1+k2+k3+k4), anywhere from 2^-2800 to 2^2800.  Each answer is
+        # that of t, bit for bit, and the solver finds q itself.
+        assume(all(-1022 <= k[i] + k[j] <= 1015 for i, j in PAIRS0))
+        image = SixTuple(*[_ldexp(v, k[i] + k[j]) for (i, j), v in zip(PAIRS0, t)])
+        assert is_on_quadric(image, 1e-10) == is_on_quadric(t, 1e-10)
+        assert _bits(relative_residual(image)) == _bits(relative_residual(t))
+        try:
+            invariant = cross_ratio_invariant(t)
+        except DegenerateError:
+            with pytest.raises(DegenerateError):
+                cross_ratio_invariant(image)
+        else:
+            assert _bits(cross_ratio_invariant(image)) == _bits(invariant)
+        if 0.0 in t or not is_on_quadric(t, 1e-10):
+            return
+        q = rescaling_solve(t, image)
+        sign = 1.0 if q.q1.real > 0 else -1.0
+        for got, e in zip(q, k):
+            assert abs(got - sign * 2.0**e) <= 4 * 2.0**-53 * 2.0**e
 
 class TestTorusAction:
     def test_identity(self):
@@ -288,9 +330,9 @@ class TestCrossRatioInvariant:
     @settings(max_examples=200, deadline=None)
     @given(t=six_tuples(), k=st.integers(min_value=-600, max_value=600), turn=st.booleans())
     def test_invariant_under_powers_of_two(self, t, k, turn):
-        # Beyond the float range the products come from frexp mantissas, which
-        # 2^k leaves alone; within it they are the plain products, whose
-        # quotient may differ from the mantissas' by a few ulps.
+        # Beyond the float range the products come from the balanced tuple, a
+        # power-of-two image of t; within it they are the plain products.  The
+        # two quotients agree within an ulp or so.
         assume(all(abs(v) > 1e-100 for v in t))
         if turn:
             t = SixTuple(*[1j * v for v in t])
@@ -503,13 +545,20 @@ class TestRescalingSolve:
         # exists, and either way the error says so.
         a = SixTuple(*[1e300 * v for v in SQUARE_CHORDS])
         b = SixTuple(*[1e-300 * v for v in SQUARE_CHORDS])
-        for x, y in ((a, b), (b, a)):
+        # c12, c13, c14, c23 and q are normal, but q2*q4 = c24 is about 1e400:
+        # the complex product is NaN, and so was its deviation, which passed.
+        w = cmath.exp(0.3j)
+        c = torus_apply(TorusElement(1, 1e-150 * w, 1, 1e-150 * w), SQUARE_CHORDS)
+        q = (None, 1, 1e200 * w, 1, 1e200 * w)
+        d = SixTuple(*[q[i] * (q[j] * v) for (i, j), v in zip(PAIRS, c)])
+        for x, y in ((a, b), (b, a), (c, d), (d, c)):
             with pytest.raises(DegenerateError, match="rescaling leaves the float range"):
                 rescaling_solve(x, y)
 
     def test_complex_moduli_beyond_float_range(self):
         # b has entries of finite parts whose modulus abs() cannot return: the
-        # invariant gap and the postcondition compare quarters instead.
+        # invariant gap compares quarters, and the postcondition's deviations
+        # come from the balanced tuples.
         big = complex(1.7e308, 1.7e308)
         a = SixTuple(1, 2, 1, 1, 1, 1)
         b = SixTuple(1, 2, big, 1, big, big)
@@ -536,7 +585,7 @@ class TestRescalingSolve:
 
     def test_complex_division_beyond_float_range(self):
         # b13/a13 with both (1.7e308, 1.7e308) is nan in Python's complex
-        # division, which overflows inside; from frexp parts it is 1.
+        # division, which overflows inside; from the balanced tuples it is 1.
         big = complex(1.7e308, 1.7e308)
         t = SixTuple(1, 1, big, 1, 1, -big)
         assert rescaling_solve(t, t).values() == (1, 1, 1, 1)
@@ -545,14 +594,21 @@ class TestRescalingSolve:
         q = TorusElement(0.5, 2.0, 1j, 1.0)
         assert_plus_minus(rescaling_solve(t, torus_apply(q, t)), q.values())
 
-    def test_ratio_parts_far_apart(self):
-        # _ratio scales each operand by its larger part's power of two; a
-        # smaller part more than 2^1074 below that goes to 0, where plain
-        # division keeps it.  Parts in range give the bits of b/a.
-        b = complex(1e300, 1e-300)
-        assert b / 1.0 == b and _ratio(b, 1.0) == complex(1e300, 0.0)
-        for b, a in ((3 + 4j, 0.1 - 7j), (2.5, 1e-300), (1e-300j, 3e200 + 1j)):
-            assert _ratio(b, a) == b / a
+    def test_fit_ratios_are_plain_quotients(self):
+        # c_ij is b_ij/a_ij bit for bit wherever that quotient is a normal
+        # float, small parts included, and also where another pair sends the
+        # fit to the balanced tuples: their quotients differ by powers of two.
+        # There a complex division that overflows inside gives 1, not nan.
+        big = complex(1.7e308, 1.7e308)
+        one = TorusElement(1, 1, 1, 1)
+        for b, a in ((3 + 4j, 0.1 - 7j), (2.5, 1e-300), (1e-300j, 3e-200 + 1j),
+                     (complex(1e300, 1e-300), 1.0)):
+            assert _bits(rescaling_fit(one, SixTuple(a, 1, 1, 1, 1, 1),
+                                       SixTuple(b, 1, 1, 1, 1, 1))[0][1]) == _bits(b / a)
+        for b, a in ((3 + 4j, 0.1 - 7j), (2.5, 1e-300), (1e-300j, 3e-200 + 1j)):
+            fit = rescaling_fit(one, SixTuple(a, 1, big, 1, 1, 1), SixTuple(b, 1, big, 1, 1, 1))
+            assert _bits(fit[0][1], fit[2][1]) == _bits(b / a, 1 + 0j)
+            assert fit[2] == (1, 1 + 0j, 0.0)
 
     def test_ratio_tuple_zero_rejected(self):
         # a zero entry in the target tuple makes a zero ratio b_ij/a_ij
