@@ -3,12 +3,13 @@
 Subcommands: measure, rescale, plucker minors, plucker reconstruct, render,
 crossratio.  Input documents are JSON; complex numbers are written as
 [re, im] pairs.  Exit codes: 0 success, 1 relation failure beyond tolerance,
-2 unparseable document or a --tol that is not a positive finite number below 1
-(a relative tolerance of 1 or more accepts almost any tuple), 3 invalid
-configuration or degenerate values (a non-finite cross-ratio, or any result
-that is not finite: no run prints a NaN or an infinity), 4 quadric/orbit
-failure (off-quadric input, cross-ratio mismatch), 141 (128 + SIGPIPE) when
-the reader of stdout has gone before all of it was written.
+2 unparseable or unreadable input, an --out path that cannot be written, or a
+--tol that is not a positive finite number below 1 (a relative tolerance of 1
+or more accepts almost any tuple), 3 invalid configuration or degenerate
+values (a non-finite cross-ratio, or any result that is not finite: no run
+prints a NaN or an infinity), 4 quadric/orbit failure (off-quadric input,
+cross-ratio mismatch), 141 (128 + SIGPIPE) when the reader of stdout has gone
+before all of it was written.
 Without --json, measure prints a table (it has no --table flag).
 
 run() is the process entry, for `python -m threeterm.cli` and the threeterm
@@ -42,7 +43,6 @@ from .relations import (
     cross_ratio_points,
     relative_residual,
     rescaling_fit,
-    rescaling_solve,
     residual,
     torus_apply,
 )
@@ -66,7 +66,7 @@ def positive_finite(text: str) -> float:
 
 
 class DocumentError(ValueError):
-    """Unparseable or schema-violating input document (exit code 2)."""
+    """Unparseable or schema-violating input, or a file not read or written (exit code 2)."""
 
 
 def _load_json(path: str):
@@ -231,12 +231,12 @@ def cmd_measure(args) -> int:
 
 def cmd_rescale(args) -> int:
     a, b = _read_sixtuple(args.file_a), _read_sixtuple(args.file_b)
-    q = rescaling_solve(a, b, tol=args.tol)
-    # The deviations are the figures that rescaling_solve tested.
+    q, rows = rescaling_fit(a, b, args.tol)
+    # The deviations are the figures that the solver tested.
     verification = {
         f"{i}{j}": {"q_i_q_j": _json_scalar(product), "c_ij": _json_scalar(ratio),
                     "deviation": deviation}
-        for (i, j), (product, ratio, deviation) in zip(PAIRS, rescaling_fit(q, a, b))
+        for (i, j), (product, ratio, deviation) in zip(PAIRS, rows)
     }
     text = _dump({"q": [_json_scalar(v) for v in q], "verification": verification})
     if args.json:
@@ -288,8 +288,11 @@ def cmd_plucker_reconstruct(args) -> int:
 
 def cmd_render(args) -> int:
     document = render_svg(_read_config(args.config))
-    with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(document)
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(document)
+    except OSError as exc:
+        raise DocumentError(f"cannot write {args.out}: {exc}") from exc
     return EXIT_OK
 
 

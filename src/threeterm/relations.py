@@ -11,6 +11,9 @@ Where a plain product or quotient leaves the float range, the quadric test,
 the invariant and the solver work on _balanced(t), the image of t under
 q_i = 2^k_i with its largest monomial near 1: all three monomials change by
 one power of two, exactly, barring underflow below 2^-1022 of the largest.
+The solver fits in one frame: the plain one where it stays in range and
+meets tol on every pair, else, once, the balanced one, whose verdict stands.
+So it balances each tuple at most once, and reports the figures it tested.
 
 SixTuple and TorusElement are tuples that check their entries on every
 construction path, so the functions below unpack and iterate them directly.
@@ -27,7 +30,7 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from operator import itemgetter, sub
+from operator import itemgetter, sub, truediv
 
 from .errors import DegenerateError, NotSameOrbitError, OffQuadricError
 
@@ -252,67 +255,24 @@ def cross_ratio_invariant(t: SixTuple) -> Scalar:
     return num / den
 
 
-def _from_ratios(a: SixTuple, b: SixTuple) -> TorusElement:
-    """q with q1 the principal square root of c12*c13/c23, q_j = c_1j/q1, c_ij = b_ij/a_ij."""
-    (a12, a13, a14, a23, _, _), (b12, b13, b14, b23, _, _) = a, b
-    c12, c13, c14 = b12 / a12, b13 / a13, b14 / a14
-    q1_sq = c12 * c13 / (b23 / a23)
+def _fit(a: SixTuple, b: SixTuple) -> tuple[TorusElement, tuple, list, list[float]]:
+    """q, the q_i*q_j, the c_ij = b_ij/a_ij and the deviations |q_i*q_j*a_ij - b_ij|/|b_ij|,
+    with q1 the principal square root of c12*c13/c23 and q_j = c_1j/q1."""
+    ratios = c12, c13, c14, c23, _, _ = tuple(map(truediv, b, a))
+    q1_sq = c12 * c13 / c23
     q1 = (cmath.sqrt if isinstance(q1_sq, complex) or q1_sq < 0.0 else math.sqrt)(q1_sq)
-    return TorusElement(q1, c12 / q1, c13 / q1, c14 / q1)
-
-
-def _deviations(q: TorusElement, a: SixTuple, b: SixTuple) -> tuple[tuple, list[float]]:
-    """The q_i*q_j and the deviations |q_i*q_j*a_ij - b_ij| / |b_ij| that rescaling_solve
-    tests, from _balanced(a) and _balanced(b) where a modulus leaves the float range."""
-    q1, q2, q3, q4 = q
+    q2, q3, q4 = c12 / q1, c13 / q1, c14 / q1
     products = (q1 * q2, q1 * q3, q1 * q4, q2 * q3, q2 * q4, q3 * q4)
-    deviations = []
-    try:
-        for p, av, bv in zip(products, a, b):
-            deviations.append(abs(p * av - bv) / abs(bv))
-        return products, deviations
-    except OverflowError:  # a complex modulus beyond the float range
-        pass
-    (a, ka), (b, kb) = _balanced(a), _balanced(b)
-    return products, [abs(_ldexp(p, kb[i] + kb[j] - ka[i] - ka[j]) * av - bv) / abs(bv)
-                      for (i, j), p, av, bv in zip(_PAIRS0, products, a, b)]
+    return (TorusElement(q1, q2, q3, q4), products, ratios,
+            [abs(p * av - bv) / abs(bv) for p, av, bv in zip(products, a, b)])
 
 
-def rescaling_fit(q: TorusElement, a: SixTuple, b: SixTuple) -> list[tuple[Scalar, Scalar, float]]:
-    """Per pair, in storage order: q_i*q_j, c_ij = b_ij/a_ij and the deviation
-    that rescaling_solve tests.  A c_ij is the plain quotient while that is a
-    normal float, else the balanced tuples' times an exact power of two; one
-    that underflows raises DegenerateError, one beyond the range OverflowError."""
-    ratios = [bv / av for av, bv in zip(a, b)]
-    try:
-        in_range = all(_TINY <= abs(c) <= _HUGE for c in ratios)
-    except OverflowError:  # a complex modulus beyond the float range
-        in_range = False
-    if not in_range:
-        (a_bal, ka), (b_bal, kb) = _balanced(a), _balanced(b)
-        ratios = [_ldexp(bv / av, ka[i] + ka[j] - kb[i] - kb[j])
-                  for (i, j), av, bv in zip(_PAIRS0, a_bal, b_bal)]
-        if 0.0 in ratios:
-            raise DegenerateError("a ratio b_ij/a_ij underflows")
-    products, deviations = _deviations(q, a, b)
-    return list(zip(products, ratios, deviations))
-
-
-def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> TorusElement:
-    """Find q with q_i*q_j*a_ij = b_ij, or prove the tuples are in different orbits.
-
-    Both tuples must be nonvanishing and on the quadric within tol.  The
-    criterion for solvability is equality of the cross-ratio invariants;
-    on success q1 is the principal square root of c12*c13/c23 and the rest
-    follow as q_j = c_1j/q1.  The other valid answer is -q.  Where a c_ij or
-    q1^2 leaves the float range, q' is solved for _balanced(a) = 2^ka * a and
-    _balanced(b) = 2^kb * b, and q = q' * 2^(ka - kb): powers of two, exact
-    barring underflow below 2^-1022 of either tuple's largest monomial.
-
-    Raises DegenerateError on zero entries or where q_i or c_ij leaves the
-    float range, OffQuadricError when either tuple misses the quadric, and
-    NotSameOrbitError when the invariants disagree (or q misses a pair).
-    """
+def rescaling_fit(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL
+                  ) -> tuple[TorusElement, list[tuple[Scalar, Scalar, float]]]:
+    """(q, rows): rescaling_solve's q and, per pair in storage order, the
+    q_i*q_j, c_ij = b_ij/a_ij and deviation |q_i*q_j*a_ij - b_ij|/|b_ij| it
+    tested.  A balanced fit's q_i*q_j and c_ij move back by the powers of two
+    that q does, so a c_ij that is a normal float is b_ij/a_ij bit for bit."""
     if 0.0 in a or 0.0 in b:
         raise DegenerateError("rescaling requires all twelve entries nonzero")
     if not is_on_quadric(a, tol):
@@ -327,28 +287,52 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
         differ = abs(inv_a / 4 - inv_b / 4) > tol * max(abs(inv_a / 4), abs(inv_b / 4))
     if differ:
         raise _new_error(NotSameOrbitError, None, inv_a, inv_b, None, None, None)
-    # A ratio that under- or overflowed, or a complex division that overflowed
-    # inside, gives a zero divisor or a q_i that TorusElement rejects.
     try:
-        try:
-            q = _from_ratios(a, b)
-        except (ZeroDivisionError, DegenerateError):
-            (a_bal, ka), (b_bal, kb) = _balanced(a), _balanced(b)
-            q = TorusElement(*map(_ldexp, _from_ratios(a_bal, b_bal), map(sub, ka, kb)))
-        # Postcondition: every pair matches within tol, else the inputs were not
-        # orbit-equivalent at this tolerance.  A sum within tol has no NaN term.
-        deviations = _deviations(q, a, b)[1]
+        q, products, ratios, deviations = _fit(a, b)
+        # A sum within tol has no NaN term.
         if sum(deviations) <= tol:
-            return q
-        rescaling_fit(q, a, b)  # raises where a c_ij leaves the float range
+            return q, list(zip(products, ratios, deviations))
+    except (ZeroDivisionError, DegenerateError, OverflowError):
+        pass
+    (a_bal, ka), (b_bal, kb) = _balanced(a), _balanced(b)
+    shift = list(map(sub, ka, kb))
+    try:
+        q, products, ratios, deviations = _fit(a_bal, b_bal)
+        q = TorusElement(*map(_ldexp, q, shift))
+        shifts = [shift[i] + shift[j] for i, j in _PAIRS0]
+        products, ratios = list(map(_ldexp, products, shifts)), list(map(_ldexp, ratios, shifts))
+        if 0.0 in products or 0.0 in ratios:
+            raise DegenerateError
     except (ZeroDivisionError, DegenerateError, OverflowError):
         raise DegenerateError(
             "rescaling leaves the float range: a ratio b_ij/a_ij or q_i is 0 or not finite"
         ) from None
+    # Postcondition: every pair matches within tol, else the inputs were not
+    # orbit-equivalent at this tolerance.
     for pair, deviation in zip(PAIRS, deviations):
         if not deviation <= tol:
             raise _new_error(NotSameOrbitError, None, inv_a, inv_b, pair, deviation, tol)
-    return q
+    return q, list(zip(products, ratios, deviations))
+
+
+def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> TorusElement:
+    """Find q with q_i*q_j*a_ij = b_ij, or prove the tuples are in different orbits.
+
+    Both tuples must be nonvanishing and on the quadric within tol.  The
+    criterion for solvability is equality of the cross-ratio invariants;
+    on success q1 is the principal square root of c12*c13/c23, with
+    c_ij = b_ij/a_ij, and the rest follow as q_j = c_1j/q1.  The other valid
+    answer is -q.  Where the plain fit leaves the float range or misses a
+    pair, q' is fitted once to _balanced(a) = 2^ka * a and _balanced(b) =
+    2^kb * b, and q = q' * 2^(ka - kb): exact barring underflow below 2^-1022
+    of either tuple's largest monomial.
+
+    Raises DegenerateError on zero entries, OffQuadricError when either tuple
+    misses the quadric, and NotSameOrbitError when the invariants disagree
+    (or q misses a pair).  A subnormal c_ij or q_i*q_j is answered; only one
+    that underflows to 0 or overflows, or such a q_i, raises DegenerateError.
+    """
+    return rescaling_fit(a, b, tol)[0]
 
 
 def _minors(x1, x2, x3, x4) -> tuple[Scalar, ...]:

@@ -294,6 +294,25 @@ class TestRescale:
             start = header.index(column)
             assert all(row[start - 1] == " " != row[start] for row in rows)
 
+    def test_subnormal_ratio(self, tmp_path, capsys):
+        # b is a's image under q = (1e-155, 1e-155, 1e150, 1e150), every entry
+        # normal; only c12 = 1e-310 is subnormal.  The plain q misses entry 23
+        # by 1.5e-9, and the balanced fit answers.
+        a, b = tmp_path / "a.json", tmp_path / "b.json"
+        a.write_text(json.dumps([1.414213562373095e+200, 2.0, 1.4142135623730951,
+                                 1.4142135623730951, 2.0, 1.414213562373095e-200]))
+        b.write_text(json.dumps([1.4142135623730907e-110, 1.9999999999999998e-05,
+                                 1.414213562373095e-05, 1.414213562373095e-05,
+                                 1.9999999999999998e-05, 1.4142135623730948e+100]))
+        code, out, _ = run(capsys, "rescale", str(a), str(b), "--json")
+        assert code == 0
+        doc = json.loads(out)
+        assert max(row["deviation"] for row in doc["verification"].values()) <= 1e-10
+        assert 0.0 < doc["verification"]["12"]["c_ij"] < 2.0**-1022
+        code, out, _ = run(capsys, "rescale", str(a), str(b))
+        assert code == 0
+        assert max(float(line.split()[-1]) for line in out.splitlines()[5:]) <= 1e-10
+
     def test_orbit_mismatch_beyond_float_range(self, capsys):
         code, out, err = run(
             capsys,
@@ -528,6 +547,17 @@ class TestRender:
             "--out", str(tmp_path / "x.svg"),
         )
         assert code == 3
+
+    @pytest.mark.parametrize("out", ["missing/x.svg", "."])
+    def test_unwritable_out(self, tmp_path, capsys, out):
+        # A missing directory, or a directory itself: exit 2, as an unreadable
+        # input, with no traceback.
+        path = tmp_path / out
+        code, stdout, err = run(capsys, "render", str(DATA / "square_config.json"),
+                                "--out", str(path))
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
 
     def test_bitangent_endpoints_on_circles(self, square_svg):
         circles = [c for c in _parse_circles(square_svg) if c[0] == "horocycle"]

@@ -4,12 +4,14 @@ import cmath
 import copy
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from conftest import random_config, square_config
+from threeterm import relations
 from threeterm.errors import DegenerateError, NotSameOrbitError, OffQuadricError
 from threeterm.grassmann import reconstruct
 from threeterm.measurements import measure_all
@@ -17,6 +19,7 @@ from threeterm.relations import (
     PAIRS,
     SixTuple,
     TorusElement,
+    _fit,
     _ldexp,
     _residual_and_scale,
     cross_ratio_invariant,
@@ -359,6 +362,54 @@ class TestCrossRatioInvariant:
             cross_ratio_invariant(t)
 
 
+SUBNORMAL_RATIO_PAIR = (
+    SixTuple(1.414213562373095e+200, 2.0, 1.4142135623730951, 1.4142135623730951, 2.0,
+             1.414213562373095e-200),
+    SixTuple(1.4142135623730907e-110, 1.9999999999999998e-05, 1.414213562373095e-05,
+             1.414213562373095e-05, 1.9999999999999998e-05, 1.4142135623730948e+100),
+)
+
+
+def _parts(v) -> tuple[float, ...]:
+    return (v.real, v.imag) if isinstance(v, complex) else (v,)
+
+
+def _is_normal(v) -> bool:
+    """Whether v is nonzero, finite and each of its nonzero parts a normal float."""
+    return any(_parts(v)) and all(p == 0.0 or sys.float_info.min <= abs(p) <= sys.float_info.max
+                                  for p in _parts(v))
+
+
+@st.composite
+def far_orbit_pairs(draw) -> tuple[SixTuple, SixTuple]:
+    """(a, b): a the minors of a drawn real or complex 2x4 matrix times 2^m, and
+    b_ij = q_i*q_j*a_ij, formed as 2^(k_i+k_j)*(u_i*(u_j*a_ij)), with
+    q_i = u_i*2^k_i, u_i in [1, 2) and k_1 + k_2 in [-1100, -1023], k permuted.
+    Every entry of both is a normal float (nonzero parts of a complex one), and
+    both lie on the quadric."""
+    part = st.floats(min_value=-4.0, max_value=4.0)
+    entry = st.builds(complex, part, part) if draw(st.booleans()) else part
+    x, y = (draw(st.lists(entry, min_size=4, max_size=4)) for _ in range(2))
+    t = [x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1] for i, j in PAIRS]
+    assume(all(map(_is_normal, t)))
+    total = draw(st.integers(min_value=-1100, max_value=-1023))
+    k1 = draw(st.integers(min_value=-1000, max_value=total + 1000))
+    k = draw(st.permutations([k1, total - k1, *(draw(st.integers(-300, 300)) for _ in range(2))]))
+    u = draw(st.lists(st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+                      min_size=4, max_size=4))
+    s = [k[i] + k[j] for i, j in PAIRS0]
+    # m keeps every part of a and b within [2^-1022, 2^1021); u_i*u_j < 4.
+    exponents = [[math.frexp(p)[1] for p in _parts(v) if p] for v in t]
+    low = max(-1021 - min(ev) - min(0, sv) for ev, sv in zip(exponents, s))
+    high = min(1019 - max(ev) - max(0, sv) for ev, sv in zip(exponents, s))
+    assume(low <= high)
+    m = draw(st.integers(min_value=low, max_value=high))
+    a = SixTuple(*[_ldexp(v, m) for v in t])
+    b = SixTuple(*[_ldexp(u[i] * (u[j] * v), sv) for (i, j), v, sv in zip(PAIRS0, a, s)])
+    assume(is_on_quadric(a, 1e-10) and is_on_quadric(b, 1e-10))
+    return a, b
+
+
 class TestRescalingSolve:
     def test_round_trip_square(self):
         q = TorusElement(1, 2, 3, 4)
@@ -594,21 +645,65 @@ class TestRescalingSolve:
         q = TorusElement(0.5, 2.0, 1j, 1.0)
         assert_plus_minus(rescaling_solve(t, torus_apply(q, t)), q.values())
 
-    def test_fit_ratios_are_plain_quotients(self):
+    def test_fit_ratios_are_plain_quotients(self, monkeypatch):
         # c_ij is b_ij/a_ij bit for bit wherever that quotient is a normal
-        # float, small parts included, and also where another pair sends the
-        # fit to the balanced tuples: their quotients differ by powers of two.
-        # There a complex division that overflows inside gives 1, not nan.
+        # float, small parts included: in the plain fit, and where another
+        # pair (14, whose complex division overflows inside) sends the fit to
+        # the balanced tuples, whose quotients differ by powers of two.  There
+        # that division gives 1, not nan.
+        fits = []
+        monkeypatch.setattr(relations, "_fit", lambda a, b: fits.append(a) or _fit(a, b))
         big = complex(1.7e308, 1.7e308)
-        one = TorusElement(1, 1, 1, 1)
-        for b, a in ((3 + 4j, 0.1 - 7j), (2.5, 1e-300), (1e-300j, 3e-200 + 1j),
-                     (complex(1e300, 1e-300), 1.0)):
-            assert _bits(rescaling_fit(one, SixTuple(a, 1, 1, 1, 1, 1),
-                                       SixTuple(b, 1, 1, 1, 1, 1))[0][1]) == _bits(b / a)
-        for b, a in ((3 + 4j, 0.1 - 7j), (2.5, 1e-300), (1e-300j, 3e-200 + 1j)):
-            fit = rescaling_fit(one, SixTuple(a, 1, big, 1, 1, 1), SixTuple(b, 1, big, 1, 1, 1))
-            assert _bits(fit[0][1], fit[2][1]) == _bits(b / a, 1 + 0j)
-            assert fit[2] == (1, 1 + 0j, 0.0)
+        cases = [(3 + 4j, 0.1 - 7j), (2.5, 1e-300), (1e-300j, 3e-200 + 1j)]
+        for base, frames, pairs in ((SQUARE_CHORDS, 1, cases + [(complex(1e300, 1e-300), 1.0)]),
+                                    (SixTuple(1.0, 1.0, big, 1.0, 1.0, -big), 2, cases)):
+            for y, x in pairs:
+                a = torus_apply(TorusElement(1.0, x, 1.0, 1.0), base)
+                b = torus_apply(TorusElement(1.0, y, 1.0, 1.0), base)
+                fits.clear()
+                rows = rescaling_fit(a, b)[1]
+                assert len(fits) == frames
+                plain = [bv / av for av, bv in zip(a, b)]
+                # All six are normal but the nan quotients 14 and 34 of big.
+                assert [_is_normal(c) for c in plain] == [True, True, frames == 1] * 2
+                for (_, c, _), want in zip(rows, plain):
+                    if _is_normal(want):
+                        assert _bits(c) == _bits(want)
+                if frames == 2:
+                    assert rows[2] == rows[5] == (1, 1, 0.0)
+                    assert _bits(rows[2][1]) == _bits(1 + 0j)
+
+    def test_subnormal_ratio(self):
+        # b is a's image under q = (1e-155, 1e-155, 1e150, 1e150): every entry
+        # and every q_i is normal, but c12 = q1*q2 = 1e-310 is subnormal.  The
+        # plain q, built from it, misses entry 23 by 1.5e-9; the balanced fit
+        # answers, with the subnormal c12 and q1*q2 in its rows.
+        a, b = SUBNORMAL_RATIO_PAIR
+        q, rows = rescaling_fit(a, b)
+        assert rescaling_solve(a, b) == q
+        assert_plus_minus(q, (1e-155, 1e-155, 1e150, 1e150))
+        assert max(deviation for _, _, deviation in rows) <= 4e-15
+        product, ratio, _ = rows[0]
+        assert 0.0 < product < sys.float_info.min and 0.0 < ratio < sys.float_info.min
+        assert abs(product - 1e-310) <= 1e-12 * 1e-310
+        assert _bits(ratio) == _bits(b[0] / a[0])
+
+    @settings(max_examples=150, deadline=None)
+    @given(far_orbit_pairs())
+    def test_same_orbit_anywhere_in_the_float_range(self, pair):
+        # Same-orbit pairs are answered, or rejected as leaving the float range
+        # where a q_i*q_j underflows to 0; never NotSameOrbitError.
+        a, b = pair
+        try:
+            q = rescaling_solve(a, b)
+        except DegenerateError:
+            return
+        # q_i*q_j*a_ij formed from q_i = m_i*2^e_i, so that no product leaves the range.
+        e = [math.frexp(abs(v))[1] for v in q]
+        m = [_ldexp(v, -ei) for v, ei in zip(q, e)]
+        for (i, j), av, bv in zip(PAIRS0, a, b):
+            image = _ldexp(m[i] * (m[j] * av), e[i] + e[j])
+            assert abs(image - bv) <= 1e-10 * abs(bv)
 
     def test_ratio_tuple_zero_rejected(self):
         # a zero entry in the target tuple makes a zero ratio b_ij/a_ij
