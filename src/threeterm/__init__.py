@@ -60,6 +60,7 @@ from .relations import (
     cross_ratio_points,
     is_on_quadric,
     relative_residual,
+    rescaling_fit,
     rescaling_solve,
     residual,
     torus_apply,

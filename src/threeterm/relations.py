@@ -13,7 +13,9 @@ q_i = 2^k_i with its largest monomial near 1: all three monomials change by
 one power of two, exactly, barring underflow below 2^-1022 of the largest.
 The solver fits in one frame: the plain one where it stays in range and
 meets tol on every pair, else, once, the balanced one, whose verdict stands.
-So it balances each tuple at most once, and reports the figures it tested.
+So it balances each tuple at most once.  A plain fit forms only what its
+verdict reads: q from c12, c13, c14 and c23, the q_i*q_j and the deviations.
+rescaling_fit adds the six c_ij from the same fit, for the rows it reports.
 
 SixTuple and TorusElement are tuples that check their entries on every
 construction path, so the functions below unpack and iterate them directly.
@@ -255,24 +257,29 @@ def cross_ratio_invariant(t: SixTuple) -> Scalar:
     return num / den
 
 
-def _fit(a: SixTuple, b: SixTuple) -> tuple[TorusElement, tuple, list, list[float]]:
-    """q, the q_i*q_j, the c_ij = b_ij/a_ij and the deviations |q_i*q_j*a_ij - b_ij|/|b_ij|,
-    with q1 the principal square root of c12*c13/c23 and q_j = c_1j/q1."""
-    ratios = c12, c13, c14, c23, _, _ = tuple(map(truediv, b, a))
-    q1_sq = c12 * c13 / c23
+def _fit(a: SixTuple, b: SixTuple) -> tuple[TorusElement, tuple, list[float]]:
+    """q, the q_i*q_j and the deviations |q_i*q_j*a_ij - b_ij|/|b_ij|, with
+    q1 the principal square root of c12*c13/c23 and q_j = c_1j/q1 for
+    c_ij = b_ij/a_ij: only the four quotients that q needs are formed."""
+    a12, a13, a14, a23, a24, a34 = a
+    b12, b13, b14, b23, b24, b34 = b
+    c12, c13, c14 = b12 / a12, b13 / a13, b14 / a14
+    q1_sq = c12 * c13 / (b23 / a23)
     q1 = (cmath.sqrt if isinstance(q1_sq, complex) or q1_sq < 0.0 else math.sqrt)(q1_sq)
     q2, q3, q4 = c12 / q1, c13 / q1, c14 / q1
-    products = (q1 * q2, q1 * q3, q1 * q4, q2 * q3, q2 * q4, q3 * q4)
-    return (TorusElement(q1, q2, q3, q4), products, ratios,
-            [abs(p * av - bv) / abs(bv) for p, av, bv in zip(products, a, b)])
+    products = p12, p13, p14, p23, p24, p34 = (q1 * q2, q1 * q3, q1 * q4,
+                                               q2 * q3, q2 * q4, q3 * q4)
+    return TorusElement(q1, q2, q3, q4), products, [
+        abs(p12 * a12 - b12) / abs(b12), abs(p13 * a13 - b13) / abs(b13),
+        abs(p14 * a14 - b14) / abs(b14), abs(p23 * a23 - b23) / abs(b23),
+        abs(p24 * a24 - b24) / abs(b24), abs(p34 * a34 - b34) / abs(b34)]
 
 
-def rescaling_fit(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL
-                  ) -> tuple[TorusElement, list[tuple[Scalar, Scalar, float]]]:
-    """(q, rows): rescaling_solve's q and, per pair in storage order, the
-    q_i*q_j, c_ij = b_ij/a_ij and deviation |q_i*q_j*a_ij - b_ij|/|b_ij| it
-    tested.  A balanced fit's q_i*q_j and c_ij move back by the powers of two
-    that q does, so a c_ij that is a normal float is b_ij/a_ij bit for bit."""
+def _solve(a: SixTuple, b: SixTuple, tol: float) -> tuple[TorusElement, tuple, list, list | None]:
+    """(q, the q_i*q_j, the deviations, the c_ij): the one body of
+    rescaling_solve and rescaling_fit.  The c_ij are None from a plain fit,
+    whose verdict does not read them, and the balanced fit's quotients moved
+    back by powers of two, whose zeros make it raise DegenerateError."""
     if 0.0 in a or 0.0 in b:
         raise DegenerateError("rescaling requires all twelve entries nonzero")
     if not is_on_quadric(a, tol):
@@ -288,19 +295,20 @@ def rescaling_fit(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL
     if differ:
         raise _new_error(NotSameOrbitError, None, inv_a, inv_b, None, None, None)
     try:
-        q, products, ratios, deviations = _fit(a, b)
+        q, products, deviations = _fit(a, b)
         # A sum within tol has no NaN term.
         if sum(deviations) <= tol:
-            return q, list(zip(products, ratios, deviations))
+            return q, products, deviations, None
     except (ZeroDivisionError, DegenerateError, OverflowError):
         pass
     (a_bal, ka), (b_bal, kb) = _balanced(a), _balanced(b)
     shift = list(map(sub, ka, kb))
     try:
-        q, products, ratios, deviations = _fit(a_bal, b_bal)
+        q, products, deviations = _fit(a_bal, b_bal)
         q = TorusElement(*map(_ldexp, q, shift))
         shifts = [shift[i] + shift[j] for i, j in _PAIRS0]
-        products, ratios = list(map(_ldexp, products, shifts)), list(map(_ldexp, ratios, shifts))
+        products = list(map(_ldexp, products, shifts))
+        ratios = list(map(_ldexp, map(truediv, b_bal, a_bal), shifts))
         if 0.0 in products or 0.0 in ratios:
             raise DegenerateError
     except (ZeroDivisionError, DegenerateError, OverflowError):
@@ -312,7 +320,19 @@ def rescaling_fit(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL
     for pair, deviation in zip(PAIRS, deviations):
         if not deviation <= tol:
             raise _new_error(NotSameOrbitError, None, inv_a, inv_b, pair, deviation, tol)
-    return q, list(zip(products, ratios, deviations))
+    return q, products, deviations, ratios
+
+
+def rescaling_fit(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL
+                  ) -> tuple[TorusElement, list[tuple[Scalar, Scalar, float]]]:
+    """(q, rows): rescaling_solve's q, from the same fit and with the same
+    errors, and, per pair in storage order, the q_i*q_j, c_ij = b_ij/a_ij and
+    deviation |q_i*q_j*a_ij - b_ij|/|b_ij| it tested.  It forms all six c_ij:
+    after a plain fit as b_ij/a_ij, and after a balanced one from the balanced
+    tuples, moved back by the powers of two that q_i*q_j are, so a c_ij that
+    is a normal float is b_ij/a_ij bit for bit either way."""
+    q, products, deviations, ratios = _solve(a, b, tol)
+    return q, list(zip(products, ratios or map(truediv, b, a), deviations))
 
 
 def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> TorusElement:
@@ -325,14 +345,16 @@ def rescaling_solve(a: SixTuple, b: SixTuple, tol: float = DEFAULT_TOL) -> Torus
     answer is -q.  Where the plain fit leaves the float range or misses a
     pair, q' is fitted once to _balanced(a) = 2^ka * a and _balanced(b) =
     2^kb * b, and q = q' * 2^(ka - kb): exact barring underflow below 2^-1022
-    of either tuple's largest monomial.
+    of either tuple's largest monomial.  A plain fit forms only the four
+    quotients c12, c13, c14 and c23, with the six q_i*q_j and deviations it
+    tests; rescaling_fit returns the same q with every c_ij.
 
     Raises DegenerateError on zero entries, OffQuadricError when either tuple
     misses the quadric, and NotSameOrbitError when the invariants disagree
     (or q misses a pair).  A subnormal c_ij or q_i*q_j is answered; only one
     that underflows to 0 or overflows, or such a q_i, raises DegenerateError.
     """
-    return rescaling_fit(a, b, tol)[0]
+    return _solve(a, b, tol)[0]
 
 
 def _minors(x1, x2, x3, x4) -> tuple[Scalar, ...]:

@@ -85,6 +85,20 @@ class TestMeasure:
         assert code == 0
         assert all(json.loads(out)["pass"].values())
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: P_ij = cos a_i*sin a_j - cos a_j*sin a_i"
+                       " cancels for close half-angles, so P's relative residual is 3.98e-10")
+    def test_close_half_angles_pass(self, tmp_path, capsys):
+        # A valid configuration whose last three half-angles lie within 1.4e-7:
+        # every family but P has a relative residual near 2e-16.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({"concyclic": {
+            "alpha": [0.1562702941672667, 0.6562452373152181, 0.656245369484019,
+                      0.6562453767829672],
+            "radii": [6.2e-79, 4.8e-183, 6.7e-181, 9.5e-156]}}))
+        code, out, _ = run(capsys, "measure", str(path), "--json")
+        assert all(json.loads(out)["pass"].values())
+        assert code == 0
+
     def test_no_table_flag(self, capsys):
         # The table is what measure prints without --json; there is no flag for it.
         with pytest.raises(SystemExit) as info:

@@ -410,6 +410,43 @@ def far_orbit_pairs(draw) -> tuple[SixTuple, SixTuple]:
     return a, b
 
 
+# a14 and a34 are complex with parts near 2^1023: Python's division b14/a14
+# overflows inside (nan), which sends the fit to the balanced frame.
+BIG_COMPLEX = SixTuple(1.0, 1.0, complex(1.7e308, 1.7e308), 1.0, 1.0, complex(-1.7e308, -1.7e308))
+
+
+@st.composite
+def solver_inputs(draw) -> tuple[SixTuple, SixTuple]:
+    """(a, b) for every verdict of the solver: same-orbit pairs anywhere in
+    the float range, a real or complex minors tuple or six drawn entries
+    against its torus image, perturbed or not (off-quadric, zero entries),
+    two drawn tuples (other orbits), and the fixed pairs that send the fit to
+    the balanced frame."""
+    kind = draw(st.sampled_from(["far", "image", "other", "fixed"]))
+    if kind == "far":
+        return draw(far_orbit_pairs())
+    if kind == "other":
+        return draw(six_tuples()), draw(six_tuples())
+    if kind == "fixed":
+        big = BIG_COMPLEX[2]
+        return draw(st.sampled_from([
+            SUBNORMAL_RATIO_PAIR, (BIG_COMPLEX, BIG_COMPLEX),
+            (BIG_COMPLEX, SixTuple(1, 1, big / 2, 1, 0.5, -big / 2)),
+            (torus_apply(TorusElement(1.0, 1e-300, 1.0, 1.0), BIG_COMPLEX),
+             torus_apply(TorusElement(1.0, 2.5, 1.0, 1.0), BIG_COMPLEX))]))
+    a = draw(st.one_of(six_tuples(), exact_tuples()))
+    phase = st.floats(min_value=0.0, max_value=2 * math.pi).map(lambda t: cmath.exp(1j * t))
+    unit = st.one_of(nonzero_scalar, phase) if draw(st.booleans()) else nonzero_scalar
+    q = [_ldexp(draw(unit), draw(st.integers(-400, 400))) for _ in range(4)]
+    try:
+        b = list(torus_apply(TorusElement(*q), a))
+    except DegenerateError:  # an image entry beyond the float range
+        assume(False)
+    k = draw(st.integers(0, 5))
+    b[k] *= draw(st.sampled_from([1.0, 1.0 + 1e-12, 1.0 + 1e-9, 1.0 + 1e-6, -1.0]))
+    return a, SixTuple(*b)
+
+
 class TestRescalingSolve:
     def test_round_trip_square(self):
         q = TorusElement(1, 2, 3, 4)
@@ -704,6 +741,20 @@ class TestRescalingSolve:
         for (i, j), av, bv in zip(PAIRS0, a, b):
             image = _ldexp(m[i] * (m[j] * av), e[i] + e[j])
             assert abs(image - bv) <= 1e-10 * abs(bv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(solver_inputs(), st.one_of(st.just(1e-10), st.floats(min_value=1e-15, max_value=0.5),
+                                      st.sampled_from([0.0, -1e-10, math.nan, math.inf])))
+    def test_solve_is_the_fit_q(self, pair, tol):
+        # rescaling_solve and rescaling_fit run one body: the same q, bit for
+        # bit, or the same exception with equal args.
+        def outcome(entry):
+            try:
+                return _bits(*entry(*pair, tol))
+            except (ValueError, DegenerateError, OffQuadricError, NotSameOrbitError) as exc:
+                return type(exc), repr(exc.args)
+
+        assert outcome(rescaling_solve) == outcome(lambda a, b, t: rescaling_fit(a, b, t)[0])
 
     def test_ratio_tuple_zero_rejected(self):
         # a zero entry in the target tuple makes a zero ratio b_ij/a_ij
