@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .relations import (DEFAULT_TOL, PAIRS, SixTuple, _Frozen, _ldexp, _minors, _off_quadric,
-                        is_on_quadric)
+                        _residual_and_scale, is_on_quadric)
 
 
 class Matrix2x4(_Frozen):
@@ -90,7 +90,7 @@ def reconstruct(p: SixTuple, tol: float = DEFAULT_TOL) -> Matrix2x4:
     is complex; the all-zero tuple maps to the zero matrix of floats.
     """
     if not is_on_quadric(p, tol):
-        raise _off_quadric(p, tol)
+        raise _off_quadric(p, *_residual_and_scale(p), tol)
     if not any(p):
         return Matrix2x4._from_entries((0.0,) * 4, (0.0,) * 4)
     # SixTuple holds Python numbers: the sum is complex exactly when an entry is.

@@ -24,7 +24,11 @@ slotted value that rebuilds through its checks, the one for the rest.
 _minors is the package's one routine for the 2x2 minors of four columns.
 A rejection raises OffQuadricError or NotSameOrbitError with its margins as
 fields, built by _new_error so that no Python code runs for it; the error
-builds its message from them only when it is read.
+builds its message from them only when it is read.  The solver forms each
+tuple's residual once and raises from the pass that decided.  reconstruct
+tests by is_on_quadric, under the name the benchmark's tracer patches in
+grassmann, and forms the pass again for the error's fields; _off_quadric
+builds those fields for both.
 """
 
 from __future__ import annotations
@@ -191,9 +195,14 @@ def _residual_and_scale(t: SixTuple) -> tuple[Scalar, float, int]:
     a12, a13, a14, a23, a24, a34 = t
     m1, m2, m3 = a12 * a34, a14 * a23, a13 * a24
     try:
-        scale = max(abs(m1), abs(m2), abs(m3))
+        scale, s2, s3 = abs(m1), abs(m2), abs(m3)
     except OverflowError:  # a complex monomial of modulus beyond the float range
-        scale = math.inf
+        scale = s2 = s3 = math.inf
+    # max(scale, s2, s3), compared in max's order, without the builtin's call.
+    if s2 > scale:
+        scale = s2
+    if s3 > scale:
+        scale = s3
     if 2.0 ** -969 <= scale <= 2.0 ** 1022:
         return m1 + m2 - m3, scale, 0
     (a12, a13, a14, a23, a24, a34), k = _balanced(t)
@@ -217,9 +226,10 @@ def is_on_quadric(t: SixTuple, tol: float) -> bool:
     return abs(res) <= tol * scale
 
 
-def _off_quadric(t: SixTuple, tol: float, what: str = "tuple") -> OffQuadricError:
-    """The error for a tuple that is_on_quadric(t, tol) rejected, so of scale > 0."""
-    res, scale, e = _residual_and_scale(t)
+def _off_quadric(t: SixTuple, res: Scalar, scale: float, e: int, tol: float,
+                 what: str = "tuple") -> OffQuadricError:
+    """The error for a tuple that is_on_quadric(t, tol) rejected, from the
+    (res, scale, e) = _residual_and_scale(t) that decided, so of scale > 0."""
     return _new_error(OffQuadricError, None, residual(t) if e else res, abs(res) / scale, tol, what)
 
 
@@ -234,17 +244,22 @@ def torus_apply(q: TorusElement, t: SixTuple) -> SixTuple:
 def cross_ratio_invariant(t: SixTuple) -> Scalar:
     """The complete orbit invariant a12*a34 / (a23*a14) of a nonvanishing tuple.
 
-    Both products are used as they are while normal floats, and otherwise
-    taken from _balanced(t) with a13 and a24 (which do not enter) set to 0:
-    powers of two times those of t, exact barring underflow, so t's images
-    under q_i = 2^k_i give the same.  One beyond the float range raises
+    Both products are used as they are while their moduli lie in
+    _residual_and_scale's window [2^-969, 2^1022] and their quotient is
+    finite.  Otherwise they are taken from _balanced(t) with a13 and a24
+    (which do not enter) set to 0: powers of two times those of t, exact
+    barring underflow, so t's images under q_i = 2^k_i give the same.  (Just
+    above 2^-1022, complex division forms a product of the divisor's parts
+    below 2^-1022, which loses bits.)  One beyond the float range raises
     DegenerateError.
     """
     a12, _, a14, a23, _, a34 = t
     num, den = a12 * a34, a23 * a14
     try:
-        if _TINY <= abs(num) <= _HUGE and _TINY <= abs(den) <= _HUGE:
-            return num / den
+        if 2.0 ** -969 <= abs(num) <= 2.0 ** 1022 and 2.0 ** -969 <= abs(den) <= 2.0 ** 1022:
+            value = num / den
+            if abs(value) <= _HUGE:
+                return value
     except OverflowError:  # a complex product of modulus beyond the float range
         pass
     if not (a23 and a14):
@@ -280,12 +295,17 @@ def _solve(a: SixTuple, b: SixTuple, tol: float) -> tuple[TorusElement, tuple, l
     rescaling_solve and rescaling_fit.  The c_ij are None from a plain fit,
     whose verdict does not read them, and the balanced fit's quotients moved
     back by powers of two, whose zeros make it raise DegenerateError."""
-    if 0.0 in a or 0.0 in b:
+    if not (all(a) and all(b)):
         raise DegenerateError("rescaling requires all twelve entries nonzero")
-    if not is_on_quadric(a, tol):
-        raise _off_quadric(a, tol, "first tuple")
-    if not is_on_quadric(b, tol):
-        raise _off_quadric(b, tol, "second tuple")
+    if not 0.0 < tol <= _HUGE:
+        raise ValueError(f"tolerance must be positive and finite: {tol}")
+    # is_on_quadric's test, raising from the pass that decided.
+    res, scale, e = _residual_and_scale(a)
+    if not abs(res) <= tol * scale:
+        raise _off_quadric(a, res, scale, e, tol, "first tuple")
+    res, scale, e = _residual_and_scale(b)
+    if not abs(res) <= tol * scale:
+        raise _off_quadric(b, res, scale, e, tol, "second tuple")
     inv_a = cross_ratio_invariant(a)
     inv_b = cross_ratio_invariant(b)
     try:

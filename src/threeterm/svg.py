@@ -114,9 +114,19 @@ def render_svg(cfg: ConcyclicConfig) -> str:
             geodesics.append(_GEODESIC_LINE % (*px[i], *px[j]))
             continue
         mx, my = (by - ay) / det, (ax - bx) / det
-        rpx = "%.6f" % (SCALE * math.sqrt(mx * mx + my * my - 1.0))
-        # Minor arc; math-counterclockwise becomes sweep 0 after the y flip.
-        sweep = 0 if (ax - mx) * (by - my) - (ay - my) * (bx - mx) > 0 else 1
+        r2 = mx * mx + my * my - 1.0
+        if r2 < 1.0:
+            # |M| < sqrt(2): the difference cancels, to nothing for close
+            # points.  With |A_i| = |A_j| = 1, |M|^2 - 1 is
+            # (|A_j - A_i|^2 / (2 det))^2, whose root forms no such difference.
+            dx, dy = bx - ax, by - ay
+            rpx = "%.6f" % (SCALE * (dx * dx + dy * dy) / (2.0 * abs(det)))
+        else:
+            rpx = "%.6f" % (SCALE * math.sqrt(r2))
+        # Minor arc.  (A_i - M) x (A_j - M) = (det^2 - |A_j - A_i|^2) / det has
+        # the sign of -det: the arc is math-counterclockwise, sweep 0 after the
+        # y flip, exactly when det < 0.
+        sweep = 1 if det > 0 else 0
         geodesics.append(_GEODESIC_ARC % (*px[i], rpx, rpx, sweep, *px[j]))
     _bitangent_segments(cfg, values)
     geodesics.append("</svg>\n")

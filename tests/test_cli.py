@@ -555,6 +555,19 @@ class TestRender:
         assert code == 0
         assert out.read_text(encoding="utf-8").count("<circle") == 5
 
+    def test_close_tangency_points(self, tmp_path, capsys):
+        # A_1 and A_2 lie 5.6e-8 apart: the centre M of their geodesic's circle,
+        # formed through det, read |M|^2 - 1 = -3.1e-10 where the radius is
+        # tan(a_2 - a_1) = 2.8e-8, and the square root raised.
+        alpha = [0.8229016948897019, 0.8229017231204206, 2.0, 2.8]
+        path, out = tmp_path / "config.json", tmp_path / "out.svg"
+        path.write_text(json.dumps({"concyclic": {"alpha": alpha,
+                                                  "radii": [1e-30, 1e-30, 0.05, 0.05]}}))
+        code, _, _ = run(capsys, "render", str(path), "--out", str(out))
+        assert code == 0
+        radius = _parse_arcs(out.read_text(encoding="utf-8"))[0]["radius"]
+        assert abs(radius - SCALE * math.tan(alpha[1] - alpha[0])) <= 1e-6
+
     def test_invalid_config_exit(self, tmp_path, capsys):
         code, _, _ = run(
             capsys, "render", str(DATA / "overlapping.json"),

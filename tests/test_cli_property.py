@@ -18,10 +18,12 @@ component that underflow, each off by up to eta/2.
 
 `measure` on configurations that ConcyclicConfig accepts, with radii
 log-uniform in [1e-300, 0.6], exits 0 or 1: the families and their checks
-stay finite however small the circles.
+stay finite however small the circles.  `render` on such configurations with
+two half-angles 10^-12 to 10^-3 apart exits 0, and prints each geodesic arc's
+radius 480*|tan(a_j - a_i)| px within 1e-6 px + 1e-9 of it.
 
 Example budget: 80 examples per subcommand, 480 in all, and 100 valid
-configurations, about 4 s on a 2-vCPU host.
+configurations each for measure and render, about 5 s on a 2-vCPU host.
 """
 
 import ast
@@ -33,6 +35,7 @@ import re
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import mpmath
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -41,6 +44,7 @@ from threeterm.cli import main
 from threeterm.errors import ConfigurationError
 from threeterm.measurements import ConcyclicConfig
 from threeterm.relations import DEFAULT_TOL, PAIRS
+from threeterm.svg import SCALE
 
 EXAMPLES = settings(max_examples=80, deadline=None)
 
@@ -248,6 +252,41 @@ def test_measure_valid_configs(workdir, alpha, log_radii, as_json):
     doc = {"concyclic": {"alpha": alpha, "radii": radii}}
     code, _ = _check(["measure", _write(workdir / "config.json", doc), *_flags(as_json)], as_json)
     assert code in (0, 1), doc
+
+
+# Each geodesic, in pair order: its arc's radius, or "" where it is a line.
+GEODESIC = re.compile(r'<(?:line class="geodesic"|path class="geodesic" d="M \S+ \S+ A (\S+))')
+
+
+@settings(max_examples=100, deadline=None)
+@given(alpha=st.lists(st.floats(min_value=0.0, max_value=math.pi), min_size=3, max_size=3,
+                      unique=True),
+       k=st.integers(min_value=0, max_value=2),
+       log_gap=st.floats(min_value=-12.0, max_value=-3.0),
+       log_radii=st.lists(st.floats(min_value=-300.0, max_value=math.log10(0.6)), min_size=4,
+                          max_size=4))
+def test_render_valid_configs(workdir, alpha, k, log_gap, log_radii):
+    # Three half-angles and a neighbour of one of them 10^-12 to 10^-3 away,
+    # so two tangency points lie close.  Each geodesic drawn as an arc has
+    # the radius 480*|tan(a_j - a_i)| px, within 1e-6 px + 1e-9 of it.
+    gap = 10.0 ** log_gap
+    neighbour = alpha[k] + gap if alpha[k] + gap <= math.pi else alpha[k] - gap
+    alpha, radii = sorted([*alpha, neighbour]), [10.0**e for e in log_radii]
+    try:
+        ConcyclicConfig(alpha, radii)
+    except ConfigurationError:
+        assume(False)
+    svg = workdir / "out.svg"
+    doc = {"concyclic": {"alpha": alpha, "radii": radii}}
+    path = _write(workdir / "config.json", doc)
+    code, _ = _check(["render", path, "--out", str(svg)], False, svg)
+    assert code == 0, doc
+    radii_px = GEODESIC.findall(svg.read_text(encoding="utf-8"))
+    assert len(radii_px) == 6
+    for (i, j), printed in zip(PAIRS, radii_px):
+        if printed:
+            exact = SCALE * abs(mpmath.tan(mpmath.mpf(alpha[j - 1]) - mpmath.mpf(alpha[i - 1])))
+            assert abs(float(printed) - exact) <= 1e-6 + 1e-9 * exact, (doc, i, j, printed)
 
 
 @EXAMPLES

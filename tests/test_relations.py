@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from conftest import random_config, square_config
 from threeterm import relations
@@ -19,6 +19,7 @@ from threeterm.relations import (
     PAIRS,
     SixTuple,
     TorusElement,
+    _balanced,
     _fit,
     _ldexp,
     _residual_and_scale,
@@ -67,6 +68,12 @@ def exact_tuples(draw) -> SixTuple:
         x, y = (draw(st.lists(entry, min_size=4, max_size=4)) for _ in range(2))
         return SixTuple(*[x[i - 1] * y[j - 1] - x[j - 1] * y[i - 1] for i, j in PAIRS])
     return SixTuple(*draw(st.lists(entry, min_size=6, max_size=6)))
+
+
+_HUGE = sys.float_info.max
+# Moduli at the edges: zeros, subnormals, the normal limits and ties near 1.
+MONOMIALS = (0.0, -0.0, 5e-324, -5e-324, 2.0**-1022, 1.0, -1.0, _HUGE, -_HUGE,
+             2.0**-969, 2.0**1022)
 
 
 def _bits(*values) -> list:
@@ -233,8 +240,39 @@ class TestResidual:
 
 
     @settings(max_examples=300, deadline=None)
+    @given(m=st.lists(st.one_of(st.sampled_from(MONOMIALS),
+                                st.floats(allow_nan=False, allow_infinity=False),
+                                st.builds(complex, st.sampled_from(MONOMIALS[:9]),
+                                          st.sampled_from(MONOMIALS[:9]))),
+                      min_size=3, max_size=3))
+    @example(m=[1.0, 1.0, 1.0])
+    @example(m=[0.0, -0.0, 0j])
+    @example(m=[5e-324, 2.0**-1022, 5e-324])
+    @example(m=[3.0, -3.0, 3j])
+    @example(m=[1.0, complex(_HUGE, _HUGE), 2.0])
+    def test_kernel_scale_is_max(self, m):
+        # t's monomials a12*a34, a14*a23 and a13*a24 are m, exactly.  The scale
+        # is max(abs(m1), abs(m2), abs(m3)) bit for bit where it lies in the
+        # window, ties, zeros and subnormals included; beyond it, and where a
+        # complex modulus leaves the float range, that of the balanced tuple.
+        t = SixTuple(m[0], m[2], m[1], 1.0, 1.0, 1.0)
+        _, scale, e = _residual_and_scale(t)
+        try:
+            plain = max(abs(m[0]), abs(m[1]), abs(m[2]))
+        except OverflowError:
+            plain = math.inf
+        if 2.0**-969 <= plain <= 2.0**1022:
+            assert e == 0 and _bits(scale) == _bits(plain)
+        else:
+            assert _bits(scale) == _bits(largest_monomial(_balanced(t)[0]))
+
+    @settings(max_examples=300, deadline=None)
     @given(t=exact_tuples(), k=st.lists(st.integers(min_value=-700, max_value=700),
                                         min_size=4, max_size=4))
+    # Complex invariants whose image's den has modulus about 2^-1019: a plain
+    # quotient there forms a product below 2^-1022 and loses bits.
+    @example(t=SixTuple(1j, 0j, 1j, 1 + 3j, 0j, 1j), k=[0, 0, -321, -700])
+    @example(t=SixTuple(1 + 0j, 1 + 0j, 1 + 0j, -3 + 1j, -1 + 0j, 2 - 1j), k=[0, 0, -321, -700])
     def test_torus_beyond_float_range(self, t, k):
         # q_i = 2^k_i maps t exactly to an image of normal entries while every
         # k_i + k_j lies in [-1022, 1015]; its monomials are those of t times
@@ -358,6 +396,13 @@ class TestCrossRatioInvariant:
 
     def test_invariant_beyond_float_range_rejected(self):
         t = SixTuple(1e300, 1e300, 1, 1, 1e300, 1e300)
+        with pytest.raises(DegenerateError, match="invariant leaves the float range"):
+            cross_ratio_invariant(t)
+
+    @pytest.mark.parametrize("a12", [2.0**500, 2.0**500 * 1j])
+    def test_normal_products_overflowing_quotient_rejected(self, a12):
+        # a12*a34 = 2^1000 and a23*a14 = 2^-960 are normal; their quotient is not.
+        t = SixTuple(a12, 1, 2.0**-480, 2.0**-480, 1, 2.0**500)
         with pytest.raises(DegenerateError, match="invariant leaves the float range"):
             cross_ratio_invariant(t)
 
@@ -590,6 +635,41 @@ class TestRescalingSolve:
                 call()
             assert _bits(info.value.residual, info.value.relative_residual) == want
             assert info.value.tol == 1e-10
+
+    @settings(max_examples=300, deadline=None)
+    @given(entries=st.lists(st.one_of(nonzero_scalar, st.builds(complex, nonzero_scalar,
+                                                                nonzero_scalar)),
+                            min_size=6, max_size=6),
+           k=st.sampled_from([0, 600, -600]), second=st.booleans(),
+           tol=st.sampled_from([1e-10, 1e-3, 0.3]))
+    def test_rejection_args_from_one_pass(self, entries, k, second, tol):
+        # An off-quadric tuple, in range or 2^+-600 beyond it, rejected as the
+        # first tuple or behind an on-quadric one: both entries raise the
+        # margins of residual() and relative_residual(), bit for bit.
+        bad = SixTuple(*[_ldexp(v, k) for v in entries])
+        assume(not is_on_quadric(bad, tol))
+        good = SixTuple(*[math.ldexp(v, -k) for v in SQUARE_CHORDS])
+        a, b, what = (good, bad, "second tuple") if second else (bad, good, "first tuple")
+        want = repr((None, residual(bad), relative_residual(bad), tol, what))
+        for entry in (rescaling_solve, rescaling_fit):
+            with pytest.raises(OffQuadricError) as info:
+                entry(a, b, tol)
+            assert repr(info.value.args) == want
+
+    @pytest.mark.parametrize("entry", [rescaling_solve, rescaling_fit])
+    def test_one_residual_pass_per_tuple(self, monkeypatch, entry):
+        # The solver tests each tuple by one pass and raises from it.
+        passes = []
+        kernel = relations._residual_and_scale
+        monkeypatch.setattr(relations, "_residual_and_scale",
+                            lambda t: passes.append(t) or kernel(t))
+        bad, huge = SixTuple(1, 1, 1, 1, 1, 1), SixTuple(*[2.0**600] * 6)
+        good = SQUARE_CHORDS
+        for a, b in ((bad, good), (huge, bad), (good, bad), (good, huge)):
+            passes.clear()
+            with pytest.raises(OffQuadricError):
+                entry(a, b)
+            assert passes == ([a] if a in (bad, huge) else [a, b])
 
     def test_uniqueness_up_to_sign(self):
         # both roots of q1^2 solve the system; the solver's answer is one of
