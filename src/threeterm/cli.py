@@ -12,6 +12,11 @@ cross-ratio mismatch), 141 (128 + SIGPIPE) when the reader of stdout has gone
 before all of it was written.
 Without --json, measure prints a table (it has no --table flag).
 
+Each cmd_* prints nothing: it returns its exit code, its document and its
+text lines (render writes --out itself and returns no document).  main() is
+the one printer: it passes every document through _dump, the one gate for a
+NaN or an infinity in either mode, then prints the JSON or the lines.
+
 run() is the process entry, for `python -m threeterm.cli` and the threeterm
 script: it exits with main()'s code, or 141 on a closed stdout, and freezes
 the collector on the way out.
@@ -165,8 +170,9 @@ def _max_rel_dev(lhs, rhs) -> float:
 
 
 def _dump(doc: dict) -> str:
-    """doc as indented JSON, checked in text mode too: a NaN or infinite value
-    raises DegenerateError (exit 3), so no run prints one."""
+    """doc as indented JSON; a NaN or infinite value raises DegenerateError
+    (exit 3).  main() calls it on every document, in text mode too, so no run
+    prints one."""
     try:
         return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
     except ValueError:
@@ -202,34 +208,30 @@ def build_report(cfg: ConcyclicConfig, tol: float) -> dict:
     }
 
 
-def _print_measure_table(report: dict) -> None:
-    print(f"tolerance: {report['tolerance']:g}")
-    print("pair:      " + "  ".join(f"{i}{j}".rjust(12) for i, j in PAIRS))
+def _measure_table(report: dict):
+    """The lines of measure's text table."""
+    yield f"tolerance: {report['tolerance']:g}"
+    yield "pair:      " + "  ".join(f"{i}{j}".rjust(12) for i, j in PAIRS)
     for name in ("d", "t", "lambda", "P"):
         row = "  ".join(f"{v:12.9f}" for v in report["measurements"][name])
-        print(f"{name:>7}:   {row}")
-    print("relation residuals (relative):")
+        yield f"{name:>7}:   {row}"
+    yield "relation residuals (relative):"
     for name in ("d", "t", "lambda", "P"):
         flag = "pass" if report["pass"][name] else "FAIL"
-        print(f"  {name:>7}: {report['residuals'][name]:.3e}  [{flag}]")
-    print("rescaling identities (max entrywise deviation):")
+        yield f"  {name:>7}: {report['residuals'][name]:.3e}  [{flag}]"
+    yield "rescaling identities (max entrywise deviation):"
     for name in ("chord_bitangent", "bitangent_lambda", "chord_plucker"):
         flag = "pass" if report["pass"][name] else "FAIL"
-        print(f"  {name}: {report['identities'][name]:.3e}  [{flag}]")
+        yield f"  {name}: {report['identities'][name]:.3e}  [{flag}]"
 
 
-def cmd_measure(args) -> int:
-    cfg = _read_config(args.config)
-    report = build_report(cfg, args.tol)
-    text = _dump(report)
-    if args.json:
-        print(text)
-    else:
-        _print_measure_table(report)
-    return EXIT_OK if all(report["pass"].values()) else EXIT_RELATION_FAILURE
+def cmd_measure(args):
+    report = build_report(_read_config(args.config), args.tol)
+    code = EXIT_OK if all(report["pass"].values()) else EXIT_RELATION_FAILURE
+    return code, report, _measure_table(report)
 
 
-def cmd_rescale(args) -> int:
+def cmd_rescale(args):
     a, b = _read_sixtuple(args.file_a), _read_sixtuple(args.file_b)
     q, rows = rescaling_fit(a, b, args.tol)
     # The deviations are the figures that the solver tested.
@@ -238,37 +240,27 @@ def cmd_rescale(args) -> int:
                     "deviation": deviation}
         for (i, j), (product, ratio, deviation) in zip(PAIRS, rows)
     }
-    text = _dump({"q": [_json_scalar(v) for v in q], "verification": verification})
-    if args.json:
-        print(text)
-    else:
-        for k, value in enumerate(q, start=1):
-            print(f"q{k} = {value}")
-        w1, w2 = (max(20, *(len(str(row[name])) for row in verification.values()))
-                  for name in ("q_i_q_j", "c_ij"))
-        print(f"pair   {'q_i*q_j':<{w1}} {'c_ij':<{w2}} |deviation|")
-        for key, r in verification.items():
-            print(f"{key:>4}   {r['q_i_q_j']!s:<{w1}} {r['c_ij']!s:<{w2}} {r['deviation']:.3e}")
-    return EXIT_OK
+    lines = [f"q{k} = {value}" for k, value in enumerate(q, start=1)]
+    w1, w2 = (max(20, *(len(str(row[name])) for row in verification.values()))
+              for name in ("q_i_q_j", "c_ij"))
+    lines.append(f"pair   {'q_i*q_j':<{w1}} {'c_ij':<{w2}} |deviation|")
+    lines += [f"{key:>4}   {r['q_i_q_j']!s:<{w1}} {r['c_ij']!s:<{w2}} {r['deviation']:.3e}"
+              for key, r in verification.items()]
+    return EXIT_OK, {"q": [_json_scalar(v) for v in q], "verification": verification}, lines
 
 
-def cmd_plucker_minors(args) -> int:
+def cmd_plucker_minors(args):
     p = minors(_read_matrix(args.file))
     doc = {
         "minors": [_json_scalar(v) for v in p],
         "residual": _json_scalar(residual(p)),
         "relative_residual": relative_residual(p),
     }
-    text = _dump(doc)
-    if args.json:
-        print(text)
-    else:
-        print("minors (12,13,14,23,24,34):", doc["minors"])
-        print("residual:", doc["residual"])
-    return EXIT_OK
+    return EXIT_OK, doc, [f"minors (12,13,14,23,24,34): {doc['minors']}",
+                          f"residual: {doc['residual']}"]
 
 
-def cmd_plucker_reconstruct(args) -> int:
+def cmd_plucker_reconstruct(args):
     p = _read_sixtuple(args.file)
     matrix = reconstruct(p, tol=args.tol)
     rows = [[_json_scalar(v) for v in row] for row in matrix.entries]
@@ -277,33 +269,23 @@ def cmd_plucker_reconstruct(args) -> int:
         "rows": rows,
         "max_minor_deviation": max(abs(pv - cv) for pv, cv in zip(p, check)),
     }
-    text = _dump(doc)
-    if args.json:
-        print(text)
-    else:
-        print("rows:", rows)
-        print("max minor deviation:", doc["max_minor_deviation"])
-    return EXIT_OK
+    return EXIT_OK, doc, [f"rows: {rows}", f"max minor deviation: {doc['max_minor_deviation']}"]
 
 
-def cmd_render(args) -> int:
+def cmd_render(args):
     document = render_svg(_read_config(args.config))
     try:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(document)
     except OSError as exc:
         raise DocumentError(f"cannot write {args.out}: {exc}") from exc
-    return EXIT_OK
+    return EXIT_OK, None, ()
 
 
-def cmd_crossratio(args) -> int:
+def cmd_crossratio(args):
     points = _array(_load_json(args.file), (4, 2), f"{args.file}: four [x, y] points")
     value = cross_ratio_points(*points)
-    if args.json:
-        print(json.dumps({"cross_ratio": _json_scalar(value)}))
-    else:
-        print(value)
-    return EXIT_OK
+    return EXIT_OK, {"cross_ratio": _json_scalar(value)}, [str(value)]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -354,7 +336,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code, doc, lines = args.func(args)
+        if doc is not None:
+            text = _dump(doc)  # the finiteness gate, in either mode
+            print(text if args.json else "\n".join(lines))
+        return code
     except (DocumentError, GeometryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NotSameOrbitError) and exc.invariant_a is not None:

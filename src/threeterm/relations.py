@@ -251,7 +251,13 @@ def cross_ratio_invariant(t: SixTuple) -> Scalar:
     barring underflow, so t's images under q_i = 2^k_i give the same.  (Just
     above 2^-1022, complex division forms a product of the divisor's parts
     below 2^-1022, which loses bits.)  One beyond the float range raises
-    DegenerateError.
+    DegenerateError, and only such an overflow does: one below 2^-1022
+    underflows as a quotient does, to a subnormal or to 0.0, though not always
+    to the nearest.  The balanced numerator is rounded to the subnormal
+    spacing 2^-1074 before it is divided by a denominator in [1/4, 4), so the
+    result lies within 2.5*2^-1074 of the exact quotient.  The solver takes
+    any two invariants below its tol as agreeing, so for such tuples the fit's
+    deviations decide.
     """
     a12, _, a14, a23, _, a34 = t
     num, den = a12 * a34, a23 * a14

@@ -108,21 +108,16 @@ def render_svg(cfg: ConcyclicConfig) -> str:
         (ax, ay), (bx, by) = points[i], points[j]
         values += (*px[i], *px[j],
                    CENTER + SCALE * ((ax + bx) / 2.0), CENTER - SCALE * ((ay + by) / 2.0))
-        # The circle orthogonal to the unit circle through A_i and A_j has
-        # the center M with <A_i, M> = <A_j, M> = 1 and radius sqrt(|M|^2 - 1).
+        # The circle orthogonal to the unit circle through A_i and A_j has the
+        # center M = (b_y - a_y, a_x - b_x) / det, where <A_i, M> = <A_j, M> = 1,
+        # and radius sqrt(|M|^2 - 1).  With |A_i| = |A_j| = 1, |M|^2 - 1 is
+        # (|A_j - A_i|^2 - det^2) / det^2 = (|A_j - A_i|^2 / (2 det))^2, so the
+        # radius is |A_j - A_i|^2 / (2 |det|), with no |M|^2 - 1 to cancel.
         if abs(det) < _DIAMETER_TOL:
             geodesics.append(_GEODESIC_LINE % (*px[i], *px[j]))
             continue
-        mx, my = (by - ay) / det, (ax - bx) / det
-        r2 = mx * mx + my * my - 1.0
-        if r2 < 1.0:
-            # |M| < sqrt(2): the difference cancels, to nothing for close
-            # points.  With |A_i| = |A_j| = 1, |M|^2 - 1 is
-            # (|A_j - A_i|^2 / (2 det))^2, whose root forms no such difference.
-            dx, dy = bx - ax, by - ay
-            rpx = "%.6f" % (SCALE * (dx * dx + dy * dy) / (2.0 * abs(det)))
-        else:
-            rpx = "%.6f" % (SCALE * math.sqrt(r2))
+        dx, dy = bx - ax, by - ay
+        rpx = "%.6f" % (SCALE * (dx * dx + dy * dy) / (2.0 * abs(det)))
         # Minor arc.  (A_i - M) x (A_j - M) = (det^2 - |A_j - A_i|^2) / det has
         # the sign of -det: the arc is math-counterclockwise, sweep 0 after the
         # y flip, exactly when det < 0.

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from threeterm import cli
 from threeterm.cli import main
 
 DATA = Path(__file__).parent / "data"
@@ -412,6 +413,14 @@ class TestCrossratio:
         )
         assert code == 0
         assert json.loads(out)["cross_ratio"] == -0.4
+
+    @pytest.mark.parametrize("value", [math.inf, complex(math.nan, 0.0)], ids=["inf", "nan"])
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+    def test_non_finite_result_gated(self, monkeypatch, capsys, value, flags):
+        # main passes every document through one gate, in either mode.
+        monkeypatch.setattr(cli, "cross_ratio_points", lambda *points: value)
+        code, out, err = run(capsys, "crossratio", str(DATA / "crossratio_points.json"), *flags)
+        assert (code, out, err) == (3, "", "error: a result is not finite\n")
 
 
 _SQUARE = [math.sqrt(2.0), 2.0, math.sqrt(2.0), math.sqrt(2.0), 2.0, math.sqrt(2.0)]

@@ -11,6 +11,8 @@ change.
 Regenerate the table (only when the contract is meant to change) with
 
     PYTHONPATH=src python tests/test_cli_contract.py
+
+which prints every run whose entry moved, with its old and new entries.
 """
 
 import hashlib
@@ -121,7 +123,10 @@ def test_table_covers_every_fixture():
 
 
 def _generate() -> None:
-    """Write the table from the program as it stands."""
+    """Write the table from the program as it stands, and print each run
+    whose entry differs from the table it replaces (None where a run is new
+    or gone)."""
+    before = _expected() if TABLE.exists() else {}
     out, err = io.StringIO(), io.StringIO()
 
     def readouterr():
@@ -138,7 +143,13 @@ def _generate() -> None:
             for command, runs in _runs().items()
         }
     TABLE.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {sum(map(len, table.values()))} runs to {TABLE}")
+    old, new = ({run_id: entry for runs in t.values() for run_id, entry in runs.items()}
+                for t in (before, table))
+    moved = sorted(run_id for run_id in {*old, *new} if old.get(run_id) != new.get(run_id))
+    for run_id in moved:
+        print(run_id, f"  old: {json.dumps(old.get(run_id), sort_keys=True)}",
+              f"  new: {json.dumps(new.get(run_id), sort_keys=True)}", sep="\n")
+    print(f"{len(moved)} runs differ; wrote {sum(map(len, table.values()))} runs to {TABLE}")
 
 
 if __name__ == "__main__":

@@ -5,6 +5,7 @@ import copy
 import math
 import pickle
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -405,6 +406,43 @@ class TestCrossRatioInvariant:
         t = SixTuple(a12, 1, 2.0**-480, 2.0**-480, 1, 2.0**500)
         with pytest.raises(DegenerateError, match="invariant leaves the float range"):
             cross_ratio_invariant(t)
+
+
+    @pytest.mark.parametrize("t,value", [
+        (SixTuple(2.0**-480, 1, 2.0**500, 2.0**500, 1, 2.0**-480), 0.0),
+        (SixTuple(2.0**-480, 2.0**500, 2.0**500, 2.0**500, 2.0**500, 2.0**-480), 0.0),
+        (SixTuple(2.0**-535, 1, 1, 1, 1, 2.0**-535), 2.0**-1070),
+    ], ids=["zero", "zero_on_quadric", "subnormal"])
+    def test_underflow_as_quotient(self, t, value):
+        # Invariants of 2^-1960 and 2^-1070: a quotient's underflow, not DegenerateError.
+        assert cross_ratio_invariant(t) == value
+
+    @settings(max_examples=300, deadline=None)
+    @given(e=st.floats(min_value=-1080.0, max_value=-1015.0),
+           parts=st.lists(st.floats(min_value=-300.0, max_value=300.0), min_size=3, max_size=3))
+    def test_subnormal_within_bound(self, e, parts):
+        # The balanced numerator is rounded to the spacing 2^-1074 before the
+        # division by a denominator of at least 1/4.
+        a12, a14, a23 = (2.0**x for x in parts)
+        a34 = 2.0**e * a14 * a23 / a12
+        assume(a34 and math.isfinite(a34))
+        t = SixTuple(a12, 1, a14, a23, 1, a34)
+        exact = Fraction(a12) * Fraction(a34) / (Fraction(a14) * Fraction(a23))
+        assume(exact < Fraction(2.0**-1022))
+        error = abs(Fraction(cross_ratio_invariant(t)) - exact)
+        assert error <= Fraction(5, 2) * Fraction(2.0**-1074)
+
+    def test_orbits_of_vanishing_invariant(self):
+        # Both invariants are 0.0, so they agree; the fit tells the orbits apart.
+        on = SixTuple(2.0**-480, 2.0**500, 2.0**500, 2.0**500, 2.0**500, 2.0**-480)
+        other = SixTuple(2.0**-470, 2.0**500, 2.0**500, 2.0**500, 2.0**500, 2.0**-480)
+        with pytest.raises(NotSameOrbitError) as info:
+            rescaling_solve(on, other)
+        assert (info.value.invariant_a, info.value.invariant_b) == (0.0, 0.0)
+        assert info.value.pair == (3, 4)
+        q = TorusElement(2.0**-3, 2.0**5, 3.0, 0.5)
+        got = rescaling_solve(on, torus_apply(q, on))
+        assert got in (q, TorusElement(*[-v for v in q]))
 
 
 SUBNORMAL_RATIO_PAIR = (
