@@ -7,7 +7,7 @@ configuration, converts exactly between three models of the hyperbolic
 plane, and solves for the torus rescaling carrying one six-tuple to another.
 
 Only the Plucker module, grassmann, imports numpy, and it loads on first use:
-its five names below resolve on first access (PEP 562), so `import threeterm`
+its three names below resolve on first access (PEP 562), so `import threeterm`
 and every submodule but grassmann and cli leave numpy unloaded.
 """
 
@@ -45,7 +45,6 @@ from .models import (
     cayley_disk_to_uhp,
     cayley_uhp_to_disk,
     disk_to_hyperboloid,
-    geodesic_ideal_endpoints,
     hyp_distance_crossratio,
     hyp_distance_hyperboloid,
     hyperboloid_to_disk,
@@ -67,7 +66,7 @@ from .relations import (
 )
 from .svg import render_svg
 
-_GRASSMANN = ("Matrix2x4", "column_permute", "column_rescale", "minors", "reconstruct")
+_GRASSMANN = ("Matrix2x4", "minors", "reconstruct")
 
 
 def __getattr__(name):
@@ -85,7 +84,7 @@ def __dir__():
     return sorted({*globals(), *_GRASSMANN})
 
 
-# Every name imported above, and grassmann's five, in sorted order; the
+# Every name imported above, and grassmann's three, in sorted order; the
 # submodules themselves are not exported.
 __all__ = sorted([name for name, value in globals().items()
                   if not name.startswith("_") and not isinstance(value, _ModuleType)]

@@ -8,12 +8,11 @@ permutation relabels them with the antisymmetric sign P_ji = -P_ij.
 
 A matrix is its eight entries: floats, or complex numbers if any is complex.
 The finiteness check, minors() and reconstruct() read only these; numpy serves
-the public constructor, the rows array (read-only, new on each read) and the
-column actions.  This is the package's one numpy import, and it loads with this
-module, on first use: `import threeterm` resolves the five names here only
-when one is first read.  As in models, Matrix2x4.__post_init__ keeps its name
-for the benchmark's tracer.  reconstruct() reads P_kl from a table of slots
-and signs.
+only the public constructor and the rows array (read-only, new on each read).
+This is the package's one numpy import, and it loads with this module, on
+first use: `import threeterm` resolves the three names here only when one is
+first read.  As in models, Matrix2x4.__post_init__ keeps its name for the
+benchmark's tracer.  reconstruct() reads P_kl from a table of slots and signs.
 """
 
 from __future__ import annotations
@@ -117,24 +116,3 @@ def reconstruct(p: SixTuple, tol: float = DEFAULT_TOL) -> Matrix2x4:
         x[k] = (-num[a] if neg_a else num[a]) / den
         y[k] = -vals[b] if neg_b else vals[b]
     return Matrix2x4._from_entries(tuple(x), tuple(y))
-
-
-def column_rescale(m: Matrix2x4, s) -> Matrix2x4:
-    """Scale column i by s_i; minors transform by P_ij -> s_i*s_j*P_ij."""
-    s = tuple(s)
-    if len(s) != 4:
-        raise DomainError(f"expected four column scalars, got {len(s)}")
-    scaled = m.rows * np.asarray(s)[np.newaxis, :]
-    return Matrix2x4(scaled)
-
-
-def column_permute(m: Matrix2x4, sigma) -> Matrix2x4:
-    """Reorder columns so column k of the result is column sigma[k] of m (1-based).
-
-    Minors of the result are the relabeled originals with the antisymmetric
-    sign convention, so quadric membership is preserved.
-    """
-    sigma = tuple(sigma)
-    if sorted(sigma) != [1, 2, 3, 4]:
-        raise DomainError(f"not a permutation of 1..4: {sigma}")
-    return Matrix2x4(m.rows[:, [k - 1 for k in sigma]])

@@ -229,41 +229,11 @@ def cayley_disk_to_uhp(p) -> UhpPoint:
     return UhpPoint(image.real, 0.0 if ideal else image.imag)
 
 
-def geodesic_ideal_endpoints(w1: UhpPoint, w2: UhpPoint) -> tuple[UhpPoint, UhpPoint]:
-    """Ideal endpoints of the half-plane geodesic through two interior points.
-
-    The first endpoint returned is the one beyond w1, the second beyond w2,
-    so the order along the geodesic is (first, w1, w2, second).  Nothing
-    cancels: c = (re1+re2)/2 + (im1-im2)(im1+im2)/(2(re1-re2)), the far end
-    is c + sign(c)*R and the near one re1*((2c - re1)/far) - im1*(im1/far),
-    the product of the roots over far, never forming that product.  Where c
-    or 2c - re1 overflows (a height above about 1.3e154, |im1^2 - im2^2|
-    above 1.8e308*|re1 - re2|, or |c| above 9e307), UhpPoint raises DomainError.
-    """
-    if w1.is_ideal or w2.is_ideal:
-        raise DomainError("geodesic endpoints require interior points")
-    if w1 == w2:
-        raise DegenerateError(f"coincident points: {w1}")
-    if w1.re == w2.re:
-        foot = UhpPoint(w1.re, 0.0)
-        if w1.im < w2.im:
-            return (foot, UhpPoint.infinity())
-        return (UhpPoint.infinity(), foot)
-    # Semicircle centered on the real axis through both points.
-    c = 0.5 * (w1.re + w2.re) + (w1.im - w2.im) * (w1.im + w2.im) / (2.0 * (w1.re - w2.re))
-    far = c + math.copysign(math.hypot(w1.re - c, w1.im), c)
-    near = w1.re * ((2.0 * c - w1.re) / far) - w1.im * (w1.im / far)
-    left, right = (UhpPoint(v, 0.0) for v in sorted((near, far)))
-    if w1.re < w2.re:
-        return (left, right)
-    return (right, left)
-
-
 def hyp_distance_crossratio(w1: UhpPoint, w2: UhpPoint) -> float:
     """Hyperbolic distance 2*asinh(x), x = |w1 - w2| / (2*sqrt(im1*im2)) (Beardon, sec. 7.2).
 
     The paper's route, |log(-CR)| for the cross-ratio of (w1, e1, w2, e2)
-    with e1, e2 from geodesic_ideal_endpoints, stays in the tests as the
+    with e1, e2 the geodesic's ideal endpoints, is tests/test_models.py's
     oracle.  Every finite float is an integer times 2^-1074, so x^2 is
     num/den for integers, exactly, and s = isqrt(floor(x^2 * 4^-e)) is
     floor(x * 2^-e), with e chosen to give s 64 bits or more: s * 2^e is x

@@ -1,34 +1,17 @@
 """The 3-term quadric, the rescaling torus action, and the orbit solver.
 
-Six-tuples are indexed by the pairs 12, 13, 14, 23, 24, 34 and may hold real
-or complex scalars.  The quadric is the locus a12*a34 + a14*a23 = a13*a24;
-the torus (q1, q2, q3, q4) acts by a_ij -> q_i*q_j*a_ij and preserves it.
-Two nonvanishing on-quadric tuples lie in the same orbit exactly when their
-cross-ratio invariants a12*a34/(a23*a14) agree, and in that case the solver
-below constructs the rescaling, unique up to a global sign.
-
 Where a plain product or quotient leaves the float range, the quadric test,
 the invariant and the solver work on _balanced(t), the image of t under
 q_i = 2^k_i with its largest monomial near 1: all three monomials change by
 one power of two, exactly, barring underflow below 2^-1022 of the largest.
 The solver fits in one frame: the plain one where it stays in range and
 meets tol on every pair, else, once, the balanced one, whose verdict stands.
-So it balances each tuple at most once.  A plain fit forms only what its
-verdict reads: q from c12, c13, c14 and c23, the q_i*q_j and the deviations.
-rescaling_fit adds the six c_ij from the same fit, for the rows it reports.
+So it balances each tuple at most once.
 
-SixTuple and TorusElement are tuples that check their entries on every
-construction path, so the functions below unpack and iterate them directly.
-_Named is the package's value idiom for a few named entries, and _Frozen, a
-slotted value that rebuilds through its checks, the one for the rest.
-_minors is the package's one routine for the 2x2 minors of four columns.
-A rejection raises OffQuadricError or NotSameOrbitError with its margins as
-fields, built by _new_error so that no Python code runs for it; the error
-builds its message from them only when it is read.  The solver forms each
-tuple's residual once and raises from the pass that decided.  reconstruct
-tests by is_on_quadric, under the name the benchmark's tracer patches in
-grassmann, and forms the pass again for the error's fields; _off_quadric
-builds those fields for both.
+SixTuple and TorusElement check their entries on every construction path,
+so the functions below unpack and iterate them directly.  reconstruct tests
+by is_on_quadric, under the name the benchmark's tracer patches in
+grassmann, and forms the pass again for the error's fields.
 """
 
 from __future__ import annotations

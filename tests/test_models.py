@@ -18,7 +18,6 @@ from threeterm.models import (
     cayley_disk_to_uhp,
     cayley_uhp_to_disk,
     disk_to_hyperboloid,
-    geodesic_ideal_endpoints,
     hyp_distance_crossratio,
     hyp_distance_hyperboloid,
     hyperboloid_to_disk,
@@ -296,6 +295,36 @@ class TestCayley:
             assert abs(x - want_x) <= 8 * U * abs(want_x)
             assert abs(back.theta - want_theta) <= 8 * U * want_theta
         assert abs(back.theta - b.theta) <= 8 * U * b.theta
+
+
+def geodesic_ideal_endpoints(w1: UhpPoint, w2: UhpPoint) -> tuple[UhpPoint, UhpPoint]:
+    """Ideal endpoints of the half-plane geodesic through two interior points.
+
+    The first endpoint returned is the one beyond w1, the second beyond w2,
+    so the order along the geodesic is (first, w1, w2, second).  Nothing
+    cancels: c = (re1+re2)/2 + (im1-im2)(im1+im2)/(2(re1-re2)), the far end
+    is c + sign(c)*R and the near one re1*((2c - re1)/far) - im1*(im1/far),
+    the product of the roots over far, never forming that product.  Where c
+    or 2c - re1 overflows (a height above about 1.3e154, |im1^2 - im2^2|
+    above 1.8e308*|re1 - re2|, or |c| above 9e307), UhpPoint raises DomainError.
+    """
+    if w1.is_ideal or w2.is_ideal:
+        raise DomainError("geodesic endpoints require interior points")
+    if w1 == w2:
+        raise DegenerateError(f"coincident points: {w1}")
+    if w1.re == w2.re:
+        foot = UhpPoint(w1.re, 0.0)
+        if w1.im < w2.im:
+            return (foot, UhpPoint.infinity())
+        return (UhpPoint.infinity(), foot)
+    # Semicircle centered on the real axis through both points.
+    c = 0.5 * (w1.re + w2.re) + (w1.im - w2.im) * (w1.im + w2.im) / (2.0 * (w1.re - w2.re))
+    far = c + math.copysign(math.hypot(w1.re - c, w1.im), c)
+    near = w1.re * ((2.0 * c - w1.re) / far) - w1.im * (w1.im / far)
+    left, right = (UhpPoint(v, 0.0) for v in sorted((near, far)))
+    if w1.re < w2.re:
+        return (left, right)
+    return (right, left)
 
 
 class TestGeodesicEndpoints:

@@ -16,6 +16,25 @@ import threeterm
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# The public surface, in sorted order: a name added or dropped is a change here.
+PUBLIC_NAMES = [
+    "BoundaryPoint", "ConcyclicConfig", "ConfigurationError", "DegenerateError", "DiskPoint",
+    "DomainError", "EuclideanCircle", "GeometryError", "HyperboloidPoint", "LightConePoint",
+    "Matrix2x4", "MeasurementTable", "MinkowskiVec", "NotSameOrbitError", "OffQuadricError",
+    "PAIRS", "SixTuple", "TorusElement", "UhpPoint", "bitangent_direct", "cayley_disk_to_uhp",
+    "cayley_uhp_to_disk", "cross_ratio_invariant", "cross_ratio_points", "disk_to_hyperboloid",
+    "horocycle_from_tangency", "horocycle_to_circle", "hyp_distance_crossratio",
+    "hyp_distance_hyperboloid", "hyperboloid_to_disk", "is_on_quadric", "lambda_length",
+    "lambda_minkowski", "lightcone_to_boundary", "measure_all", "mink_pair", "minors",
+    "reconstruct", "relative_residual", "render_svg", "rescaling_fit", "rescaling_solve",
+    "residual", "torus_apply",
+]
+
+
+def test_public_names():
+    assert threeterm.__all__ == PUBLIC_NAMES
+
+
 def test_every_export_resolves_once():
     names = threeterm.__all__
     assert len(set(names)) == len(names)
