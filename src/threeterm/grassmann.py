@@ -9,9 +9,9 @@ permutation relabels them with the antisymmetric sign P_ji = -P_ij.
 A matrix is its eight entries: floats, or complex numbers if any is complex.
 The finiteness check, minors() and reconstruct() read only these; numpy serves
 only the public constructor and the rows array (read-only, new on each read).
-This is the package's one numpy import, and it loads with this module, on
-first use: `import threeterm` resolves the three names here only when one is
-first read.  As in models, Matrix2x4.__post_init__ keeps its name for the
+This is the package's one numpy import, and it loads with this module, which
+the package imports, like every submodule, when one of its names is first
+read.  As in models, Matrix2x4.__post_init__ keeps its name for the
 benchmark's tracer.  reconstruct() reads P_kl from a table of slots and signs.
 """
 

@@ -434,36 +434,49 @@ def _concyclic(alpha=_ALPHA, radii=_RADII):
     return {"concyclic": {"alpha": alpha, "radii": radii}}
 
 
-# Per document kind: wrong length, wrong nesting, a bool, and a complex value
-# where a real is required (six-tuples and points may be complex).
+# Per document kind, each with the message it exits 2 with: wrong length,
+# wrong nesting, a bool, a complex value where a real is required (six-tuples
+# and points may be complex), and the payload schema's own rejections.
+_NUMBER = "expected a number or [re, im]"
 MALFORMED = {
     "sixtuple": (("plucker", "reconstruct", "{}"), {
-        "length": _SQUARE[:5],
-        "nesting": [_SQUARE[:3], *_SQUARE[1:]],
-        "bool": [True, *_SQUARE[1:]],
+        "length": (_SQUARE[:5], "expected an array of 6"),
+        "nesting": ([_SQUARE[:3], *_SQUARE[1:]], f"{_NUMBER}, got [1.4142135623730951,"),
+        "bool": ([True, *_SQUARE[1:]], f"{_NUMBER}, got True"),
     }),
     "concyclic": (("measure", "{}"), {
-        "length": _concyclic(alpha=_ALPHA[:3]),
-        "nesting": _concyclic(alpha=[[0.1], 0.5, 1.0, 2.0]),
-        "bool": _concyclic(radii=[0.1, True, 0.1, 0.1]),
-        "complex": _concyclic(alpha=[[0.1, 0.0], 0.5, 1.0, 2.0]),
+        "length": (_concyclic(alpha=_ALPHA[:3]), "alpha: expected an array of 4"),
+        "nesting": (_concyclic(alpha=[[0.1], 0.5, 1.0, 2.0]), f"alpha: {_NUMBER}, got [0.1]"),
+        "bool": (_concyclic(radii=[0.1, True, 0.1, 0.1]), f"radii: {_NUMBER}, got True"),
+        "complex": (_concyclic(alpha=[[0.1, 0.0], 0.5, 1.0, 2.0]),
+                    "alpha: expected a real number, got [0.1, 0.0]"),
+        "extra-key": ({"concyclic": {"alpha": _ALPHA, "radii": _RADII, "r": _RADII}},
+                      "concyclic payload needs 'alpha' and 'radii' only"),
     }),
     "lightcone": (("render", "{}", "--out", "{out}"), {
-        "length": {"lightcone": {"u": _CONE[:3]}},
-        "nesting": {"lightcone": {"u": sum(_CONE, [])}},
-        "bool": {"lightcone": {"u": [[True, 0, 1], *_CONE[1:]]}},
-        "complex": {"lightcone": {"u": [[[1, 0], 0, 1], *_CONE[1:]]}},
+        "length": ({"lightcone": {"u": _CONE[:3]}}, "u: expected an array of 4, got [[1.0,"),
+        "nesting": ({"lightcone": {"u": sum(_CONE, [])}}, "u: expected an array of 4, got [1.0,"),
+        "bool": ({"lightcone": {"u": [[True, 0, 1], *_CONE[1:]]}}, f"u: {_NUMBER}, got True"),
+        "complex": ({"lightcone": {"u": [[[1, 0], 0, 1], *_CONE[1:]]}},
+                    "u: expected a real number, got [1.0, 0.0]"),
+        "no-u": ({"lightcone": {"v": _CONE}}, "lightcone payload needs a 'u' field"),
     }),
     "matrix": (("plucker", "minors", "{}"), {
-        "length": {"matrix": {"rows": [row[:3] for row in _ROWS]}},
-        "nesting": {"matrix": {"rows": sum(_ROWS, [])}},
-        "bool": {"matrix": {"rows": [[1, 0, 2, 3], [0, True, 5, 7]]}},
-        "complex": {"matrix": {"rows": [[1, 0, [2, 1], 3], [0, 1, 5, 7]], "field": "real"}},
+        "length": ({"matrix": {"rows": [row[:3] for row in _ROWS]}},
+                   "rows: expected an array of 4"),
+        "nesting": ({"matrix": {"rows": sum(_ROWS, [])}}, "rows: expected an array of 2"),
+        "bool": ({"matrix": {"rows": [[1, 0, 2, 3], [0, True, 5, 7]]}},
+                 f"rows: {_NUMBER}, got True"),
+        "complex": ({"matrix": {"rows": [[1, 0, [2, 1], 3], [0, 1, 5, 7]], "field": "real"}},
+                    "rows: expected a real number, got [2.0, 1.0]"),
+        "no-rows": ({"matrix": {"field": "real"}}, "matrix payload needs a 'rows' field"),
+        "field": ({"matrix": {"rows": _ROWS, "field": "quaternion"}},
+                  "field must be 'real' or 'complex', got 'quaternion'"),
     }),
     "points": (("crossratio", "{}", "--json"), {
-        "length": _POINTS[:3],
-        "nesting": sum(_POINTS, []),
-        "bool": [*_POINTS[:3], [2.5, True]],
+        "length": (_POINTS[:3], "points: expected an array of 4"),
+        "nesting": (sum(_POINTS, []), "points: expected an array of 4, got [0.0,"),
+        "bool": ([*_POINTS[:3], [2.5, True]], f"points: {_NUMBER}, got True"),
     }),
 }
 
@@ -471,12 +484,13 @@ MALFORMED = {
 @pytest.mark.parametrize("kind,case", [(k, c) for k, (_, docs) in MALFORMED.items() for c in docs])
 def test_malformed_shape_exits_2(tmp_path, capsys, kind, case):
     argv, docs = MALFORMED[kind]
+    doc, message = docs[case]
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(docs[case]), encoding="utf-8")
+    path.write_text(json.dumps(doc), encoding="utf-8")
     out_svg = tmp_path / "out.svg"
     code, out, err = run(capsys, *(a.format(str(path), out=out_svg) for a in argv))
     assert (code, out) == (2, "")
-    assert err.startswith("error: ")
+    assert err.startswith(f"error: {path}") and message in err
     assert not out_svg.exists()
 
 

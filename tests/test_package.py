@@ -1,9 +1,13 @@
-"""The package namespace: what `threeterm.__all__` exports, and where numpy loads.
+"""The package namespace: what `threeterm.__all__` exports, what loads when, and what `src/` keeps.
 
-Only grassmann imports numpy.  Each import below runs in a fresh interpreter,
-which reports whether numpy is in sys.modules afterwards.
+Every public name resolves by one rule: its first read imports the submodule
+that defines it, so `import threeterm` loads no submodule, and numpy, which
+only grassmann imports, loads with grassmann alone.  Each import below runs in
+a fresh interpreter, which reports what sys.modules holds afterwards.
 """
 
+import ast
+import json
 import os
 import subprocess
 import sys
@@ -57,14 +61,28 @@ def test_unknown_name_raises_attribute_error():
         threeterm.no_such_name
 
 
-def numpy_loaded(code):
-    """Whether numpy is in sys.modules after code runs in a fresh interpreter."""
+def modules_after(code):
+    """The threeterm submodules and numpy in sys.modules after code runs in a fresh interpreter."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    script = f"{code}\nimport sys\nprint('numpy' in sys.modules)"
+    script = (f"{code}\nimport json, sys\nprint(json.dumps(sorted("
+              "m for m in sys.modules if m == 'numpy' or m.startswith('threeterm.'))))")
     proc = subprocess.run([sys.executable, "-c", script],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    return {"True\n": True, "False\n": False}[proc.stdout]
+    return json.loads(proc.stdout)
+
+
+def numpy_loaded(code):
+    """Whether numpy is in sys.modules after code runs in a fresh interpreter."""
+    return "numpy" in modules_after(code)
+
+
+@pytest.mark.parametrize("code,modules", [
+    ("import threeterm", []),
+    ("import threeterm\nthreeterm.SixTuple", ["threeterm.errors", "threeterm.relations"]),
+], ids=["import", "read-SixTuple"])
+def test_a_name_loads_only_its_submodule(code, modules):
+    assert modules_after(code) == modules
 
 
 @pytest.mark.parametrize("module", ["threeterm", "threeterm.errors", "threeterm.relations",
@@ -83,3 +101,33 @@ def test_import_leaves_numpy_unloaded(module):
 ])
 def test_grassmann_and_cli_load_numpy(code):
     assert numpy_loaded(code)
+
+
+def _private_module_names(tree):
+    """The private names (not dunders) that a module's top-level statements define."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        yield from (n for n in names if n.startswith("_") and not n.endswith("__"))
+
+
+def test_every_private_module_name_has_a_caller():
+    """A private name that nothing in src/ reads is code with no caller: delete it."""
+    trees = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+             for p in sorted((ROOT / "src" / "threeterm").glob("*.py"))}
+    read = set()
+    for node in (n for tree in trees.values() for n in ast.walk(tree)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.alias):
+            read.add(node.name)
+    unread = [(module, name) for module, tree in trees.items()
+              for name in _private_module_names(tree) if name not in read]
+    assert unread == []

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import SQUARE_ALPHA, SQUARE_RADII
-from threeterm.errors import GeometryError
+from threeterm.errors import ConfigurationError, DomainError, GeometryError
 from threeterm.grassmann import Matrix2x4
 from threeterm.horocycles import EuclideanCircle
 from threeterm.measurements import ConcyclicConfig
@@ -96,3 +96,33 @@ def test_matrix_keeps_its_dtype_and_read_only_rows():
                         ([[1, 2, 3, 4], [5, 6, 7, 8 + 0j]], np.complex128)):
         rebuilt = pickle.loads(pickle.dumps(Matrix2x4(rows)))
         assert rebuilt.rows.dtype == dtype and not rebuilt.rows.flags.writeable
+
+
+# Per constructor: a call that its checks reject, the error and its message.
+REJECTED = {
+    "ConcyclicConfig-three-alphas": (lambda: ConcyclicConfig(SQUARE_ALPHA[:3], SQUARE_RADII),
+                                     ConfigurationError, "expected four half-angles"),
+    "ConcyclicConfig-nan-radius": (lambda: ConcyclicConfig(SQUARE_ALPHA, [math.nan, 0.1, 0.1, 0.1]),
+                                   ConfigurationError, "non-finite configuration values"),
+    "LightConePoint-inf": (lambda: LightConePoint(math.inf, 0.0, math.inf),
+                           DomainError, "non-finite components"),
+    "HyperboloidPoint-inf": (lambda: HyperboloidPoint(0.0, 0.0, math.inf),
+                             DomainError, "non-finite components"),
+    "DiskPoint-nan": (lambda: DiskPoint(math.nan, 0.0), DomainError, "non-finite disk point"),
+    "UhpPoint-nan": (lambda: UhpPoint(0.0, math.nan), DomainError, "non-finite half-plane point"),
+    "UhpPoint-infinity-as-complex": (lambda: UhpPoint.infinity().as_complex(),
+                                     DomainError, "point at infinity has no complex coordinate"),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_constructor_rejects(name):
+    call, error, message = REJECTED[name]
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("name", ["ConcyclicConfig", "Matrix2x4"])
+def test_frozen_repr_is_its_constructor_call(name):
+    value = CASES[name][0]
+    assert eval(repr(value), {name: type(value)}) == value
