@@ -14,7 +14,7 @@ import math
 
 from .errors import DegenerateError, DomainError
 from .models import BoundaryPoint, LightConePoint
-from .relations import _Named
+from .relations import _HI, _LO, _Named
 
 SQRT2 = math.sqrt(2.0)
 
@@ -69,7 +69,7 @@ def _horocycle_at(x: float, y: float, r: float) -> LightConePoint:
 def lambda_length(h1: LightConePoint, h2: LightConePoint) -> float:
     """Lambda length sqrt(-<u1, u2>) between two horocycles.
 
-    While z1*z2 lies in [2^-969, 2^1022] and |pairing| exceeds
+    While z1*z2 lies in relations' window [_LO, _HI] and |pairing| exceeds
     COMMON_RAY_TOL*z1*z2, it is formed as it stands.  Elsewhere it would
     overflow, lose digits or cancel, and lambda = sqrt(z1)*sqrt(z2)*g/sqrt(2)
     instead, g = |e1 - e2| the gap of the ideal points e_i = (x_i, y_i)/z_i,
@@ -79,7 +79,7 @@ def lambda_length(h1: LightConePoint, h2: LightConePoint) -> float:
     """
     (x1, y1, z1), (x2, y2, z2) = h1, h2
     zz = z1 * z2
-    if 2.0 ** -969 <= zz <= 2.0 ** 1022:
+    if _LO <= zz <= _HI:
         pairing = x1 * x2 + y1 * y2 - zz
         if abs(pairing) > COMMON_RAY_TOL * zz:
             return math.sqrt(-pairing)

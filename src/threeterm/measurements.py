@@ -18,8 +18,8 @@ oracles bitangent_direct and lambda_minkowski return whole families by
 independent paths (circle centres, light-cone pairings of the horocycles).
 
 A configuration computes its tangency points and centres once, at
-construction.  On first use it builds its four horocycles from those stored
-tangency points, with no second cos/sin of the boundary angles, into a slot.
+construction.  It builds each horocycle from its stored tangency point, with
+no second cos/sin of the boundary angle.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class ConcyclicConfig(_Frozen):
     and r take part in equality and hashing.
     """
 
-    __slots__ = ("alpha", "r", "tangency_points", "centers", "_horocycles")
+    __slots__ = ("alpha", "r", "tangency_points", "centers")
 
     def __init__(self, alpha, r):
         alpha, r = tuple(map(float, alpha)), tuple(map(float, r))
@@ -77,7 +77,6 @@ class ConcyclicConfig(_Frozen):
         init(self, "r", r)
         init(self, "tangency_points", tuple(points))
         init(self, "centers", tuple(centers))
-        init(self, "_horocycles", None)
 
     def _key(self) -> tuple:
         return self.alpha, self.r
@@ -103,18 +102,12 @@ class ConcyclicConfig(_Frozen):
         """The circle H_i as a horocycle of the Poincare disk: its light-cone point (1-based)."""
         if not 1 <= i <= 4:
             raise IndexError(f"index out of range: {i}")
-        horocycles = self._horocycles
-        if horocycles is None:
-            r1, r2, r3, r4 = self.r
-            (x1, y1), (x2, y2), (x3, y3), (x4, y4) = self.tangency_points
-            if self.alpha[3] == math.pi:
-                # Boundary angle 2*pi is the point (1, 0), as BoundaryPoint
-                # wraps it to 0; its stored sine is -2.4e-16.
-                y4 = 0.0
-            horocycles = (_horocycle_at(x1, y1, r1), _horocycle_at(x2, y2, r2),
-                          _horocycle_at(x3, y3, r3), _horocycle_at(x4, y4, r4))
-            object.__setattr__(self, "_horocycles", horocycles)
-        return horocycles[i - 1]
+        x, y = self.tangency_points[i - 1]
+        if i == 4 and self.alpha[3] == math.pi:
+            # Boundary angle 2*pi is the point (1, 0), as BoundaryPoint wraps
+            # it to 0; its stored sine is -2.4e-16.
+            y = 0.0
+        return _horocycle_at(x, y, self.r[i - 1])
 
 
 class MeasurementTable(namedtuple("MeasurementTable", ("d", "t", "lam", "p"))):

@@ -44,6 +44,9 @@ _new_error = BaseException.__new__
 
 # The normal floats: a product in this range carries its full precision.
 _TINY, _HUGE = sys.float_info.min, sys.float_info.max
+# The window of plain arithmetic: while the largest of three terms lies in it,
+# no sum overflows and one below 2^-1022 is under 2^-53 of the largest.
+_LO, _HI = 2.0 ** -969, 2.0 ** 1022
 
 
 class _Named(tuple):
@@ -169,8 +172,7 @@ def _residual_and_scale(t: SixTuple) -> tuple[Scalar, float, int]:
     """(r, s, e): residual(t) and the scale of the relative tests, the largest
     monomial (no floor, so the tests do not depend on units), divided by 2^e.
 
-    e is 0, and r is residual(t) bit for bit, while s lies in [2^-969, 2^1022],
-    where no sum overflows and one below 2^-1022 is under 2^-53 of the largest.
+    e is 0, and r is residual(t) bit for bit, while s lies in [_LO, _HI].
     Outside it, r and s are those of _balanced(t): exact powers of two times
     those of t, barring underflow below 2^-1022 of the largest monomial, so t
     and its images under q_i = 2^k_i answer alike.
@@ -186,7 +188,7 @@ def _residual_and_scale(t: SixTuple) -> tuple[Scalar, float, int]:
         scale = s2
     if s3 > scale:
         scale = s3
-    if 2.0 ** -969 <= scale <= 2.0 ** 1022:
+    if _LO <= scale <= _HI:
         return m1 + m2 - m3, scale, 0
     (a12, a13, a14, a23, a24, a34), k = _balanced(t)
     m1, m2, m3 = a12 * a34, a14 * a23, a13 * a24
@@ -227,25 +229,25 @@ def torus_apply(q: TorusElement, t: SixTuple) -> SixTuple:
 def cross_ratio_invariant(t: SixTuple) -> Scalar:
     """The complete orbit invariant a12*a34 / (a23*a14) of a nonvanishing tuple.
 
-    Both products are used as they are while their moduli lie in
-    _residual_and_scale's window [2^-969, 2^1022] and their quotient is
-    finite.  Otherwise they are taken from _balanced(t) with a13 and a24
-    (which do not enter) set to 0: powers of two times those of t, exact
-    barring underflow, so t's images under q_i = 2^k_i give the same.  (Just
-    above 2^-1022, complex division forms a product of the divisor's parts
-    below 2^-1022, which loses bits.)  One beyond the float range raises
-    DegenerateError, and only such an overflow does: one below 2^-1022
-    underflows as a quotient does, to a subnormal or to 0.0, though not always
-    to the nearest.  The balanced numerator is rounded to the subnormal
-    spacing 2^-1074 before it is divided by a denominator in [1/4, 4), so the
-    result lies within 2.5*2^-1074 of the exact quotient.  The solver takes
-    any two invariants below its tol as agreeing, so for such tuples the fit's
-    deviations decide.
+    Both products are used as they are while their moduli lie in [_LO, _HI]
+    and their quotient is finite.  Otherwise they are taken from _balanced(t)
+    with a13 and a24 (which do not enter) set to 0, and times 16, which keeps
+    the smaller normal for any quotient below 2^1024.  They are powers of two
+    times those of t, exact barring underflow, so t's images under
+    q_i = 2^k_i give the same.  (Just above 2^-1022, complex division forms a
+    product of the divisor's parts below 2^-1022, which loses bits.)  One
+    beyond the float range raises DegenerateError, and only such an overflow
+    does: one below 2^-1022 underflows as a quotient does, to a subnormal or
+    to 0.0, though not always to the nearest.  The balanced numerator is
+    rounded to the subnormal spacing 2^-1074 before it is divided by a
+    denominator in [4, 64), so the result lies within 2.5*2^-1074 of the
+    exact quotient.  The solver takes any two invariants below its tol as
+    agreeing, so for such tuples the fit's deviations decide.
     """
     a12, _, a14, a23, _, a34 = t
     num, den = a12 * a34, a23 * a14
     try:
-        if 2.0 ** -969 <= abs(num) <= 2.0 ** 1022 and 2.0 ** -969 <= abs(den) <= 2.0 ** 1022:
+        if _LO <= abs(num) <= _HI and _LO <= abs(den) <= _HI:
             value = num / den
             if abs(value) <= _HUGE:
                 return value
@@ -254,8 +256,8 @@ def cross_ratio_invariant(t: SixTuple) -> Scalar:
     if not (a23 and a14):
         raise DegenerateError("cross-ratio invariant undefined: a23*a14 = 0")
     (a12, _, a14, a23, _, a34), _ = _balanced(SixTuple(a12, 0.0, a14, a23, 0.0, a34))
-    num, den = a12 * a34, a23 * a14
-    # Where den, the smaller product, underflowed, the quotient is beyond 2^1022.
+    num, den = 16.0 * a12 * a34, 16.0 * a23 * a14
+    # Where den, the smaller product, underflowed, the quotient is beyond 2^1024.
     if not den or not cmath.isfinite(num / den):
         raise DegenerateError("cross-ratio invariant leaves the float range")
     return num / den
@@ -374,19 +376,13 @@ def _minors(x1, x2, x3, x4) -> tuple[Scalar, ...]:
 
 
 def cross_ratio_points(x1, x2, x3, x4) -> Scalar:
-    """Cross-ratio of four points of the projective line.
+    """Cross-ratio P12*P34/(P23*P14) of four points of the projective line:
+    the orbit invariant of their 2x2 minors P_ij.
 
     Points are 2-component homogeneous vectors (finite x as (x, 1), infinity
-    as (1, 0)); the value is P12*P34/(P23*P14) with P_ij their 2x2 minors.
-    Rescaling any single vector leaves the value unchanged.  Coincidences are
-    allowed only while the denominator stays nonzero.  A value that is not
-    finite (from an infinite component or an overflow) raises DegenerateError.
+    as (1, 0)).  Rescaling one vector, a torus action on the minors, keeps it.
+    DegenerateError: P23 or P14 is zero, the value is beyond the float range,
+    or a minor is not finite, as P14 = 2e308 of (1e308, 1), (0, 1), (1, 1),
+    (-1e308, 1), whose cross-ratio is -5e307.
     """
-    p12, _, p14, p23, _, p34 = _minors(x1, x2, x3, x4)
-    den = p23 * p14
-    if den == 0:
-        raise DegenerateError("cross-ratio undefined: P23*P14 = 0")
-    value = p12 * p34 / den
-    if not cmath.isfinite(value):
-        raise DegenerateError(f"cross-ratio is not finite: {value}")
-    return value
+    return cross_ratio_invariant(SixTuple(*_minors(x1, x2, x3, x4)))

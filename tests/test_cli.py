@@ -159,10 +159,10 @@ class TestExitCodes:
             # Off the quadric at a scale of 1e-170, where the monomials underflow.
             (("plucker", "reconstruct", "underflow_off_quadric.json"), 4),
             (("rescale", "underflow_off_quadric.json", "underflow_off_quadric.json"), 4),
-            # Cross-ratios that come out NaN, NaN and -Infinity.
+            # A point with an infinite component, and points whose minor
+            # P14 = 2e308 overflows though their cross-ratio, -5e307, would not.
             (("crossratio", "crossratio_infinite_point.json"), 3),
             (("crossratio", "crossratio_overflow_nan.json", "--json"), 3),
-            (("crossratio", "crossratio_overflow_infinity.json", "--json"), 3),
         ],
     )
     def test_rejected_tuples(self, capsys, argv, expected):
@@ -413,6 +413,15 @@ class TestCrossratio:
         )
         assert code == 0
         assert json.loads(out)["cross_ratio"] == -0.4
+
+    @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])
+    def test_products_beyond_float_range(self, capsys, flags):
+        # P12*P34 = -2e400 overflows, but every minor and the cross-ratio are finite.
+        path = str(DATA / "crossratio_overflow_infinity.json")
+        code, out, err = run(capsys, "crossratio", path, *flags)
+        assert (code, err) == (0, "")
+        value = json.loads(out)["cross_ratio"] if flags else float(out)
+        assert abs(value + 1e200) <= 4 * math.ulp(1e200)
 
     @pytest.mark.parametrize("value", [math.inf, complex(math.nan, 0.0)], ids=["inf", "nan"])
     @pytest.mark.parametrize("flags", [(), ("--json",)], ids=["text", "json"])

@@ -395,6 +395,15 @@ class TestCrossRatioInvariant:
         big = complex(1.7e308, 1.7e308)
         assert cross_ratio_invariant(SixTuple(1, 1, big, 1, 1, 1 - big)) == pytest.approx(-1.0)
 
+    def test_quotient_near_float_max(self):
+        # Products beyond the float range and a quotient of about 2^1023: the
+        # balanced denominator, near 2^-1023, must not lose bits as a subnormal.
+        t = SixTuple(2.0**878, 1, 1.0181513517581922 * 2.0**285,
+                     1.022572959901218 * 2.0**54, 1, 2.0**484)
+        exact = Fraction(t.a12) * Fraction(t.a34) / (Fraction(t.a23) * Fraction(t.a14))
+        error = abs(Fraction(cross_ratio_invariant(t)) - exact)
+        assert error <= 3 * Fraction(2.0**-53) * exact
+
     def test_invariant_beyond_float_range_rejected(self):
         t = SixTuple(1e300, 1e300, 1, 1, 1e300, 1e300)
         with pytest.raises(DegenerateError, match="invariant leaves the float range"):
@@ -880,6 +889,27 @@ class TestRescalingSolve:
             rescaling_solve(SQUARE_CHORDS, SixTuple(0, 1, 1, 1, 1, 1))
 
 
+# Point components log-uniform over the float range, of either sign, and the
+# exact 0.0 and 1.0 of the points (x, 1) and (1, 0).
+component = st.one_of(
+    st.sampled_from([0.0, 1.0]),
+    st.builds(lambda m, e, sign: sign * math.ldexp(m, e),
+              st.floats(min_value=1.0, max_value=2.0, exclude_max=True),
+              st.integers(min_value=-1074, max_value=1023), st.sampled_from([1.0, -1.0])))
+points = st.lists(st.tuples(component, component), min_size=4, max_size=4)
+# The points of tests/data/crossratio_overflow_infinity.json: P12*P34 = -2e400
+# overflows, and the cross-ratio is -1e200.
+OVERFLOWING_PRODUCTS = [(1e200, 1.0), (0.0, 1.0), (1.0, 1.0), (2e200, 1e-200)]
+
+
+def _outcome(pts) -> list | type:
+    """cross_ratio_points(*pts) as bits, or DegenerateError."""
+    try:
+        return _bits(cross_ratio_points(*pts))
+    except DegenerateError:
+        return DegenerateError
+
+
 class TestCrossRatioPoints:
     def test_standard_triple(self):
         # [0, 1, inf, w] with the determinant convention gives -1/w
@@ -901,6 +931,52 @@ class TestCrossRatioPoints:
     def test_zero_denominator_rejected(self):
         with pytest.raises(DegenerateError):
             cross_ratio_points((1.0, 0.0), (0.0, 1.0), (0.0, 2.0), (1.0, 1.0))
+
+    @settings(max_examples=1000, deadline=None)
+    @given(pts=points)
+    @example(pts=OVERFLOWING_PRODUCTS)
+    def test_exact_over_float_range(self, pts):
+        # Against the exact quotient of the float minors: within the subnormal
+        # bound 2.5*2^-1074 plus a few ulps, or DegenerateError exactly when
+        # P23*P14 is zero or the quotient is beyond the float range.
+        minors = relations._minors(*pts)
+        assume(all(map(math.isfinite, minors)))
+        p12, _, p14, p23, _, p34 = map(Fraction, minors)
+        if not (p23 and p14):
+            assert _outcome(pts) is DegenerateError
+            return
+        exact = p12 * p34 / (p23 * p14)
+        # Within a few ulps of the largest float, rounding decides either way.
+        if abs(exact) > Fraction(_HUGE) * (1 + Fraction(2.0**-50)):
+            assert _outcome(pts) is DegenerateError
+        elif abs(exact) < Fraction(_HUGE) * (1 - Fraction(2.0**-50)):
+            error = abs(Fraction(cross_ratio_points(*pts)) - exact)
+            ulps = 4 * Fraction(2.0**-53) * abs(exact)
+            assert error <= Fraction(5, 2) * Fraction(2.0**-1074) + ulps
+
+    @settings(max_examples=1000, deadline=None)
+    @given(pts=points, which=st.integers(min_value=0, max_value=3),
+           k=st.integers(min_value=-1100, max_value=1100))
+    @example(pts=OVERFLOWING_PRODUCTS, which=0, k=-600)
+    def test_point_scaling_keeps_bits(self, pts, which, k):
+        # Scaling a point by 2^k scales its three minors by 2^k, exactly where
+        # nothing under- or overflows, and so is a torus action q_i = 2^k.
+        x, y = pts[which]
+        assume(Fraction(max(abs(x), abs(y))) * Fraction(2) ** k <= Fraction(_HUGE))
+        scaled = list(pts)
+        scaled[which] = (math.ldexp(x, k), math.ldexp(y, k))
+        assume(Fraction(scaled[which][0]) == Fraction(x) * Fraction(2) ** k
+               and Fraction(scaled[which][1]) == Fraction(y) * Fraction(2) ** k)
+        minors, images = relations._minors(*pts), relations._minors(*scaled)
+        assume(all(map(math.isfinite, minors + images)))
+        assume(all(Fraction(b) == Fraction(a) * Fraction(2) ** (k if which in pair else 0)
+                   for pair, a, b in zip(PAIRS0, minors, images)))
+        got, want = _outcome(scaled), _outcome(pts)
+        if want is DegenerateError or abs(float.fromhex(want[0])) >= 2.0**-1022:
+            assert got == want
+        else:
+            # A subnormal is rounded twice, each within 2.5*2^-1074 of the exact value.
+            assert abs(float.fromhex(got[0]) - float.fromhex(want[0])) <= 5 * 2.0**-1074
 
     def test_matches_sixtuple_invariant(self):
         # same formula as the orbit invariant of the minors of [X1 X2 X3 X4]
