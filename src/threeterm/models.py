@@ -6,11 +6,11 @@ each model's distance is one closed form, 2*asinh(sinh(d/2)), with no case
 split.  All operations are pure functions.
 
 Every value type is a relations._Named tuple; LightConePoint and
-HyperboloidPoint are MinkowskiVecs on a sheet.  The vector types and
-BoundaryPoint return self.__post_init__() from __new__, which checks and
-keeps self or a copy with z snapped or the angle canonicalized.  The hook
-keeps that name because the benchmark's tracer patches it by name
-(bench/workloads.py, instrument), until the package traces itself.
+HyperboloidPoint are MinkowskiVecs on a sheet.  MinkowskiVec.__new__ makes
+the components floats and checks them finite, and it and BoundaryPoint
+return self.__post_init__(): each sheet's hook tests its sheet and keeps
+self or a copy with z snapped, as BoundaryPoint's canonicalizes the angle.
+The benchmark's tracer patches the hook by name (bench/workloads.py).
 """
 
 from __future__ import annotations
@@ -19,14 +19,17 @@ import cmath
 import math
 
 from .errors import DegenerateError, DomainError
-from .relations import _HUGE, _TINY, _Named
+from .relations import _Named
 
 TWO_PI = 2.0 * math.pi
 _LN2 = math.log(2.0)
 
 # Type invariants (<u,u>=0, <v,v>=-1) are enforced at construction to this
 # tolerance, relative to the largest squared component (see _on_sheet);
-# passing vectors get z recomputed from x and y.
+# passing vectors get z recomputed from x and y.  Its basis: the computed
+# miss errs by a few u (2^-53) of the largest square (gamma_3 times the sum
+# of the squares, Higham sec. 3.1), and a relative change d in the components
+# moves it by about 2d, so 1e-9 is a margin for nine or ten significant digits.
 CONSTRUCTION_TOL = 1e-9
 
 
@@ -37,15 +40,13 @@ class MinkowskiVec(_Named):
     _fields = ("x", "y", "z")
 
     def __new__(cls, x, y, z):
-        if not (type(x) is float and type(y) is float and type(z) is float):
-            x, y, z = float(x), float(y), float(z)
-        return tuple.__new__(cls, (x, y, z)).__post_init__()
-
-    def __post_init__(self):
-        x, y, z = self
+        x, y, z = v = tuple.__new__(cls, (float(x), float(y), float(z)))
         # 0.0*v is 0 for finite v and NaN otherwise, as in SixTuple.
         if not math.isfinite(0.0 * x + 0.0 * y + 0.0 * z):
-            raise DomainError(f"Minkowski vector has non-finite components: {self}")
+            raise DomainError(f"Minkowski vector has non-finite components: {v}")
+        return v.__post_init__()
+
+    def __post_init__(self):
         return self
 
 
@@ -56,28 +57,23 @@ def mink_pair(u: MinkowskiVec, v: MinkowskiVec) -> float:
 
 
 def _on_sheet(v: MinkowskiVec, target: float, sheet: str, name: str) -> MinkowskiVec:
-    """v checked finite, with z > 0 and <v,v> = target, and z snapped to sqrt(x^2 + y^2 - target).
+    """v checked for z > 0 and <v,v> = target, with z snapped to sqrt(x^2 + y^2 - target).
 
-    The miss |<v,v> - target| is relative to the largest square, and is
-    taken for v/m, m the largest |component|, when that square is not a
-    normal float (the pairing overflowed or lost digits).  The snap keeps
-    the boundary angle of a light-cone vector, and on the hyperboloid it
-    stands in for the pairing, which cancels past z of about 1e4.  (0, 0, z)
-    misses the cone by 1.  A new tuple is built only when z changes.
+    The miss |<v,v> - target| is relative to the largest square, taken for
+    v/p, p the power of two at or below the largest |component|: exact, so
+    the miss of 2^k*v is that of v while the components are normal, and it
+    is the plain pairing's while the squares are.  The snap keeps the boundary
+    angle of a light-cone vector, and on the hyperboloid it stands in for the
+    pairing, which cancels past z of about 1e4.  (0, 0, z) misses the cone
+    by 1.  A new tuple is built only when z changes.
     """
     x, y, z = v
-    if not math.isfinite(0.0 * x + 0.0 * y + 0.0 * z):
-        raise DomainError(f"Minkowski vector has non-finite components: {v}")
     if z <= 0.0:
         raise DomainError(f"not on the {sheet}: {v}")
-    xx, yy, zz = x * x, y * y, z * z
-    scale = max(xx, yy, zz)
-    if _TINY <= scale <= _HUGE:
-        miss = abs(xx + yy - zz - target) / scale
-    else:
-        m = max(abs(x), abs(y), z)
-        xm, ym, zm = x / m, y / m, z / m
-        miss = abs(xm * xm + ym * ym - zm * zm - target / m / m)
+    m = max(abs(x), abs(y), z)
+    p = math.ldexp(1.0, math.frexp(m)[1] - 1)
+    xp, yp, zp, mp = x / p, y / p, z / p, m / p
+    miss = abs(xp * xp + yp * yp - zp * zp - target / p / p) / (mp * mp)
     if not miss <= CONSTRUCTION_TOL:
         raise DomainError(f"<{name},{name}> misses {target:g} by {miss:.3e} of the largest square: {v}")
     snapped = math.hypot(-target, x, y)

@@ -42,8 +42,8 @@ DEFAULT_TOL = 1e-10
 # errors._MarginError.
 _new_error = BaseException.__new__
 
-# The normal floats: a product in this range carries its full precision.
-_TINY, _HUGE = sys.float_info.min, sys.float_info.max
+# The largest finite float.
+_HUGE = sys.float_info.max
 # The window of plain arithmetic: while the largest of three terms lies in it,
 # no sum overflows and one below 2^-1022 is under 2^-53 of the largest.
 _LO, _HI = 2.0 ** -969, 2.0 ** 1022

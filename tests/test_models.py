@@ -5,10 +5,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from threeterm.errors import DegenerateError, DomainError
 from threeterm.models import (
+    CONSTRUCTION_TOL,
     BoundaryPoint,
     DiskPoint,
     HyperboloidPoint,
@@ -55,6 +56,36 @@ angles = st.floats(min_value=0.0, max_value=2 * math.pi)
 
 def polar(radius: float, phi: float) -> DiskPoint:
     return DiskPoint(radius * math.cos(phi), radius * math.sin(phi))
+
+
+@st.composite
+def near_sheet(draw, target: float) -> tuple[float, float, float]:
+    """(x, y, z) with z > 0 and <v,v> = target, or missing it by CONSTRUCTION_TOL
+    of the largest square within 1e-6 (relative), on either side."""
+    rho = math.ldexp(draw(st.floats(min_value=1.0, max_value=2.0)), draw(st.integers(-500, 500)))
+    phi = draw(angles)
+    x, y = rho * math.cos(phi), rho * math.sin(phi)
+    c, xy = x * x + y * y - target, max(x * x, y * y)
+    if not draw(st.booleans()):
+        return x, y, math.sqrt(c)
+    m = CONSTRUCTION_TOL * (1.0 + draw(st.floats(min_value=-1e-6, max_value=1e-6)))
+    if draw(st.booleans()):  # z above the sheet: z^2 is the largest square
+        return x, y, math.sqrt(c / (1.0 - m))
+    z2 = c / (1.0 + m)  # below it: the largest square is z^2 or x^2 or y^2
+    return x, y, math.sqrt(z2 if z2 >= xy else c - m * xy)
+
+
+def outcome(cls, v):
+    """A constructor's components, or its error's text up to the vector it names."""
+    try:
+        return tuple(cls(*v))
+    except DomainError as e:
+        return str(e).split(": ")[0]
+
+
+def normal_times(values, k: int = 0) -> bool:
+    """Whether every nonzero value times 2^k is a normal float."""
+    return all(c == 0.0 or -1021 <= math.frexp(c)[1] + k <= 1024 for c in values)
 
 
 class TestMinkPair:
@@ -199,6 +230,38 @@ class TestLightCone:
         assert (u.x, u.y, u.z) == (1e200, 0.0, 1e200)
         with pytest.raises(DomainError, match=f"<{name},{name}> misses"):
             cls(1e200, 0, 2e200)
+
+    @settings(max_examples=300, deadline=None)
+    @given(v=near_sheet(0.0), k=st.integers(-1100, 1100))
+    @example(v=(-0.9248087495819423, 0.38043235495510175, 1.0000000005), k=600)
+    @example(v=(-0.9248087495819423, 0.38043235495510175, 1.0000000005), k=-560)
+    def test_scaling_keeps_the_verdict(self, v, k):
+        # The miss is measured for v over a power of two, so scaling v by 2^k
+        # changes neither the verdict nor the miss reported, and an accepted
+        # vector keeps its components times 2^k.  The example misses by
+        # 9.99999969e-10 exactly, just inside the tolerance, at every scale.
+        assume(normal_times(v) and normal_times(v, k))
+        got = outcome(LightConePoint, (math.ldexp(c, k) for c in v))
+        want = outcome(LightConePoint, v)
+        if isinstance(want, tuple):
+            want = tuple(math.ldexp(c, k) for c in want)
+        assert got == want
+
+    @pytest.mark.parametrize("cls,target", [(LightConePoint, 0.0), (HyperboloidPoint, -1.0)])
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_verdict_of_the_plain_pairing(self, cls, target, data):
+        # While the squares are normal floats, the plain relative miss is the
+        # one the constructor reports, bit for bit.
+        x, y, z = data.draw(near_sheet(target))
+        xx, yy, zz = x * x, y * y, z * z
+        assume(all(c == 0.0 or 2.0**-1022 <= c * c < math.inf for c in (x, y, z)))
+        miss = abs(xx + yy - zz - target) / max(xx, yy, zz)
+        got = outcome(cls, (x, y, z))
+        if miss <= CONSTRUCTION_TOL:
+            assert isinstance(got, tuple)
+        else:
+            assert got.endswith(f"misses {target:g} by {miss:.3e} of the largest square")
 
     def test_underflowing_squares_checked_at_unit_scale(self):
         # Squares below the normal floats lose digits or vanish, so the

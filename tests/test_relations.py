@@ -979,7 +979,8 @@ class TestCrossRatioPoints:
             assert abs(float.fromhex(got[0]) - float.fromhex(want[0])) <= 5 * 2.0**-1074
 
     def test_matches_sixtuple_invariant(self):
-        # same formula as the orbit invariant of the minors of [X1 X2 X3 X4]
+        # cross_ratio_points forms its minors with _minors: this checks their
+        # pair order and sign against the minors of [X1 X2 X3 X4] formed here.
         rng = np.random.default_rng(113)
         for _ in range(100):
             cols = rng.normal(size=(2, 4))
