@@ -21,11 +21,12 @@ run() is the process entry, for `python -m threeterm.cli` and the threeterm
 script: it exits with main()'s code, or 141 on a closed stdout, and freezes
 the collector on the way out.
 main(argv) has no process-wide effect and is safe to call in-process.
+argparse loads with build_parser, on main's first call, so a caller of
+build_report or the readers does not load it.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import json
 import math
@@ -53,8 +54,8 @@ from .relations import (
 from .svg import render_svg
 
 # grassmann, and with it numpy, last: imported after the pure-Python modules,
-# numpy leaves the peak RSS of `import threeterm.cli` about 1 MiB lower (28.5
-# against 29.6 MiB on CPython 3.11).
+# numpy leaves the peak RSS of `import threeterm.cli` about 1 MiB lower (27.5
+# against 28.5 MiB, medians of 12 alternating starts on CPython 3.11.7).
 from .grassmann import Matrix2x4, minors, reconstruct
 
 EXIT_OK = 0
@@ -70,6 +71,8 @@ def positive_finite(text: str) -> float:
     positive and below 1."""
     tol = float(text)
     if not 0.0 < tol < 1.0:
+        import argparse
+
         raise argparse.ArgumentTypeError(f"must be a positive finite number below 1, got {text}")
     return tol
 
@@ -292,7 +295,11 @@ def cmd_crossratio(args):
     return EXIT_OK, {"cross_ratio": _json_scalar(value)}, [str(value)]
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser():
+    """The argument parser for every subcommand.  argparse is imported here and
+    by positive_finite's rejection, not with the module."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="threeterm",
         description="Measure, verify, and rescale the four incarnations of AB+CD=EF.",

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import numbers
 
 import numpy as np
 
@@ -29,15 +30,29 @@ from .relations import (DEFAULT_TOL, PAIRS, SixTuple, _Frozen, _ldexp, _minors, 
 
 class Matrix2x4(_Frozen):
     """A 2x4 matrix: entries, two 4-tuples of floats (complex if any entry is),
-    checked finite by 0.0*v as SixTuple is; rows, a read-only ndarray of them."""
+    checked finite by 0.0*v as SixTuple is; rows, a read-only ndarray of them.
+    Rows that are ragged, not numbers (a string, None) or beyond the float range
+    raise DomainError."""
 
     __slots__ = ("entries",)
 
     def __new__(cls, rows):
-        arr = np.array(rows)
+        try:
+            arr = np.array(rows)
+        except ValueError as exc:  # ragged rows
+            raise DomainError(f"expected a 2x4 matrix: {exc}") from None
         if arr.shape != (2, 4):
             raise DomainError(f"expected a 2x4 matrix, got shape {arr.shape}")
-        x, y = (arr if arr.dtype.kind == "c" else arr.astype(float, copy=False)).tolist()
+        kind = arr.dtype.kind
+        # numpy holds an int beyond int64 as an object: promote it with the rest.
+        if kind == "O" and all(isinstance(v, numbers.Complex) for v in arr.flat):
+            kind = "f" if all(isinstance(v, numbers.Real) for v in arr.flat) else "c"
+        if kind not in "biufc":  # a string, which astype would parse, None or a date
+            raise DomainError(f"expected a matrix of numbers, got {rows!r}")
+        try:
+            x, y = arr.astype(complex if kind == "c" else float, copy=False).tolist()
+        except OverflowError as exc:  # an int beyond the float range
+            raise DomainError(f"matrix entries must be finite: {exc}") from None
         return cls._from_entries(tuple(x), tuple(y))
 
     @classmethod

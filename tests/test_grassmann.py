@@ -55,6 +55,56 @@ def real_or_complex_matrices(draw) -> Matrix2x4:
     return Matrix2x4(rows)
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+int64s = st.integers(-2 ** 63, 2 ** 63 - 1)
+complexes = st.complex_numbers(allow_nan=False, allow_infinity=False)
+
+# Finite scalars of every type a caller may pass: Python's bool, int, float and
+# complex, and numpy's bool, int64, float32, float64, complex64 and complex128.
+scalars = st.one_of(
+    st.booleans(), int64s, finite, complexes,
+    st.booleans().map(np.bool_), int64s.map(np.int64),
+    st.floats(width=32, allow_nan=False, allow_infinity=False).map(np.float32),
+    finite.map(np.float64),
+    st.complex_numbers(width=64, allow_nan=False, allow_infinity=False).map(np.complex64),
+    complexes.map(np.complex128),
+)
+containers = st.sampled_from([list, tuple, np.array])
+
+
+@st.composite
+def mixed_rows(draw):
+    """2x4 rows of mixed scalar types, each row and the pair in a list, a
+    tuple or an ndarray."""
+    rows = [draw(containers)(draw(st.lists(scalars, min_size=4, max_size=4))) for _ in range(2)]
+    return draw(containers)(rows)
+
+
+@st.composite
+def malformed_rows(draw):
+    """Lists or tuples of 2x4 rows with one fault: a row or the matrix of the
+    wrong length, an entry or the whole nested one level deeper, or a string
+    or None in place of an entry."""
+    rows = [draw(st.lists(scalars, min_size=4, max_size=4)) for _ in range(2)]
+    fault = draw(st.sampled_from(["row length", "row count", "nested entry", "nested rows",
+                                  "string", "None"]))
+    i, k = draw(st.integers(0, 1)), draw(st.integers(0, 3))
+    if fault == "row length":
+        rows[i] = draw(st.lists(scalars, max_size=6).filter(lambda row: len(row) != 4))
+    elif fault == "row count":
+        rows = draw(st.sampled_from([[], rows[:1], rows + rows[:1]]))
+    elif fault == "nested entry":
+        rows[i][k] = [rows[i][k]]
+    elif fault == "nested rows":
+        rows = [rows]
+    elif fault == "string":
+        rows[i][k] = draw(st.one_of(st.text(), scalars.map(str)))
+    else:
+        rows[i][k] = None
+    outer, inner = draw(st.sampled_from([list, tuple])), draw(st.sampled_from([list, tuple]))
+    return outer(inner(row) if isinstance(row, list) else row for row in rows)
+
+
 def rescale_columns(m: Matrix2x4, s) -> Matrix2x4:
     """Column i scaled by s_i."""
     return Matrix2x4([[c * v for c, v in zip(s, row)] for row in m.entries])
@@ -134,6 +184,11 @@ def bits(v) -> tuple[str, str]:
     return v.real.hex(), v.imag.hex()
 
 
+def typed_bits(v) -> tuple:
+    """v's type with the bit patterns of its parts."""
+    return type(v), bits(v)
+
+
 def within_one_ulp(x: float, y: float) -> bool:
     """Equal or neighbouring floats; 0.0 and -0.0 count as equal."""
     return x == y or math.nextafter(x, y) == y
@@ -184,6 +239,35 @@ class TestMatrixType:
         rows[0, 0] = 9.0
         assert m.rows[0, 0] == 0.0 and m.entries == ((0.0, 1.0, 2.0, 3.0), (4.0, 5.0, 6.0, 7.0))
         assert not np.shares_memory(m.rows, rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=mixed_rows())
+    def test_entries_promote_as_numpy_does(self, rows):
+        """Complex numbers if any entry is complex, else floats, bit for bit
+        what numpy's complex128 or float64 array of the rows holds."""
+        arr = np.array(rows)
+        expected = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64).tolist()
+        flat = [v for row in rows for v in row]
+        to = complex if any(isinstance(v, (complex, np.complexfloating)) for v in flat) else float
+        got = [typed_bits(v) for row in Matrix2x4(rows).entries for v in row]
+        assert got == [typed_bits(v) for row in expected for v in row]
+        assert got == [typed_bits(to(v)) for v in flat]
+
+    def test_ints_beyond_int64_held_as_objects(self):
+        # numpy holds such an int as an object: it still promotes with a
+        # complex entry, and a string beside it is still no number.
+        real = Matrix2x4([[2 ** 70, 2, 3, 4], [5, 6, 7, 8]]).entries[0][:2]
+        assert [typed_bits(v) for v in real] == [typed_bits(2.0 ** 70), typed_bits(2.0)]
+        promoted = Matrix2x4([[2 ** 70, 2j, 3, 4], [5, 6, 7, 8]]).entries[0][:2]
+        assert [typed_bits(v) for v in promoted] == [typed_bits(2.0 ** 70 + 0j), typed_bits(2j)]
+        with pytest.raises(DomainError, match="expected a matrix of numbers"):
+            Matrix2x4([[2 ** 70, "1", 3, 4], [5, 6, 7, 8]])
+
+    @settings(max_examples=300, deadline=None)
+    @given(rows=malformed_rows())
+    def test_malformed_rows_raise_domain_error(self, rows):
+        with pytest.raises(DomainError):
+            Matrix2x4(rows)
 
     def test_real_input_promoted_to_float(self):
         assert Matrix2x4([[1, 2, 3, 4], [5, 6, 7, 8]]).rows.dtype == np.float64

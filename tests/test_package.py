@@ -2,8 +2,9 @@
 
 Every public name resolves by one rule: its first read imports the submodule
 that defines it, so `import threeterm` loads no submodule, and numpy, which
-only grassmann imports, loads with grassmann alone.  Each import below runs in
-a fresh interpreter, which reports what sys.modules holds afterwards.
+only grassmann imports, loads with grassmann alone.  argparse loads with the
+CLI's parser, not with the cli module.  Each import below runs in a fresh
+interpreter, which reports what sys.modules holds afterwards.
 """
 
 import ast
@@ -61,13 +62,19 @@ def test_unknown_name_raises_attribute_error():
         threeterm.no_such_name
 
 
-def modules_after(code):
-    """The threeterm submodules and numpy in sys.modules after code runs in a fresh interpreter."""
+def run_fresh(code):
+    """code run in a fresh interpreter that imports the package from src/."""
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    script = (f"{code}\nimport json, sys\nprint(json.dumps(sorted("
-              "m for m in sys.modules if m == 'numpy' or m.startswith('threeterm.'))))")
-    proc = subprocess.run([sys.executable, "-c", script],
+    return subprocess.run([sys.executable, "-c", code],
                           capture_output=True, text=True, env=env, timeout=60)
+
+
+def modules_after(code):
+    """The threeterm submodules, numpy, argparse and gettext in sys.modules after
+    code runs in a fresh interpreter."""
+    proc = run_fresh(f"{code}\nimport json, sys\nprint(json.dumps(sorted("
+                     "m for m in sys.modules if m in ('numpy', 'argparse', 'gettext')"
+                     " or m.startswith('threeterm.'))))")
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
 
@@ -101,6 +108,31 @@ def test_import_leaves_numpy_unloaded(module):
 ])
 def test_grassmann_and_cli_load_numpy(code):
     assert numpy_loaded(code)
+
+
+def test_cli_loads_argparse_only_to_parse():
+    """`import threeterm.cli` loads numpy, whose line the benchmark's import probe
+    reads, but not argparse or gettext: those load with build_parser."""
+    loaded = modules_after("import threeterm.cli")
+    assert "numpy" in loaded
+    assert "argparse" not in loaded and "gettext" not in loaded
+    assert {"argparse", "gettext"} <= set(modules_after("import threeterm.cli\n"
+                                                        "threeterm.cli.build_parser()"))
+
+
+def test_bad_tol_exits_through_argparse_in_a_fresh_interpreter():
+    """With nothing loading argparse before main, a --tol of 2 still ends in
+    argparse's SystemExit(2) with positive_finite's message, and positive_finite
+    called alone still raises argparse's ArgumentTypeError."""
+    config = str(ROOT / "tests" / "data" / "square_config.json")
+    proc = run_fresh(f"import threeterm.cli\nthreeterm.cli.main(['measure', {config!r}, '--tol', '2'])")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "argument --tol: must be a positive finite number below 1, got 2\n" in proc.stderr
+    proc = run_fresh("import argparse, threeterm.cli\n"
+                     "try:\n    threeterm.cli.positive_finite('2')\n"
+                     "except argparse.ArgumentTypeError as exc:\n    print(exc)")
+    assert proc.stdout == "must be a positive finite number below 1, got 2\n", proc.stderr
 
 
 def _private_module_names(tree):

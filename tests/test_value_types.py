@@ -109,6 +109,14 @@ REJECTED = {
                              DomainError, "non-finite components"),
     "DiskPoint-nan": (lambda: DiskPoint(math.nan, 0.0), DomainError, "non-finite disk point"),
     "UhpPoint-nan": (lambda: UhpPoint(0.0, math.nan), DomainError, "non-finite half-plane point"),
+    "Matrix2x4-ragged-rows": (lambda: Matrix2x4([[1, 2, 3, 4], [5, 6, 7]]),
+                              DomainError, "expected a 2x4 matrix"),
+    "Matrix2x4-text": (lambda: Matrix2x4([["one", 2, 3, 4], [5, 6, 7, 8]]),
+                       DomainError, "expected a matrix of numbers"),
+    "Matrix2x4-numeric-string": (lambda: Matrix2x4([["1", 2, 3, 4], [5, 6, 7, 8]]),
+                                 DomainError, "expected a matrix of numbers"),
+    "Matrix2x4-int-beyond-float": (lambda: Matrix2x4([[2 ** 1100, 2, 3, 4], [5, 6, 7, 8]]),
+                                   DomainError, "matrix entries must be finite"),
     "UhpPoint-infinity-as-complex": (lambda: UhpPoint.infinity().as_complex(),
                                      DomainError, "point at infinity has no complex coordinate"),
 }
