@@ -9,7 +9,7 @@ or more accepts almost any tuple), 3 invalid configuration or degenerate
 values (a non-finite cross-ratio, or any result that is not finite: no run
 prints a NaN or an infinity), 4 quadric/orbit failure (off-quadric input,
 cross-ratio mismatch), 141 (128 + SIGPIPE) when the reader of stdout has gone
-before all of it was written.
+before all of it was written.  Each error type carries its code as exit_code.
 Without --json, measure prints a table (it has no --table flag).
 
 Each cmd_* prints nothing: it returns its exit code, its document and its
@@ -58,11 +58,18 @@ from .svg import render_svg
 # against 28.5 MiB, medians of 12 alternating starts on CPython 3.11.7).
 from .grassmann import Matrix2x4, minors, reconstruct
 
+
+class DocumentError(ValueError):
+    """Unparseable or schema-violating input, or a file not read or written."""
+
+    exit_code = 2
+
+
 EXIT_OK = 0
 EXIT_RELATION_FAILURE = 1
-EXIT_PARSE = 2
-EXIT_INVALID_CONFIG = 3
-EXIT_ORBIT = 4
+EXIT_PARSE = DocumentError.exit_code
+EXIT_INVALID_CONFIG = GeometryError.exit_code
+EXIT_ORBIT = OffQuadricError.exit_code
 EXIT_BROKEN_PIPE = 128 + 13  # a shell's code for a process that SIGPIPE ended
 
 
@@ -75,10 +82,6 @@ def positive_finite(text: str) -> float:
 
         raise argparse.ArgumentTypeError(f"must be a positive finite number below 1, got {text}")
     return tol
-
-
-class DocumentError(ValueError):
-    """Unparseable or schema-violating input, or a file not read or written (exit code 2)."""
 
 
 def _load_json(path: str):
@@ -270,7 +273,7 @@ def cmd_plucker_minors(args):
 def cmd_plucker_reconstruct(args):
     p = _read_sixtuple(args.file)
     matrix = reconstruct(p, tol=args.tol)
-    rows = [[_json_scalar(v) for v in row] for row in matrix.entries]
+    rows = [[_json_scalar(v) for v in row] for row in matrix]
     check = minors(matrix)
     doc = {
         "rows": rows,
@@ -356,11 +359,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, NotSameOrbitError) and exc.invariant_a is not None:
             print(f"invariants: {exc.invariant_a} vs {exc.invariant_b}", file=sys.stderr)
-        if isinstance(exc, DocumentError):
-            return EXIT_PARSE
-        if isinstance(exc, (NotSameOrbitError, OffQuadricError)):
-            return EXIT_ORBIT
-        return EXIT_INVALID_CONFIG
+        return exc.exit_code
 
 
 def run() -> None:

@@ -1,10 +1,18 @@
-"""Exception types shared across the library.  OffQuadricError and NotSameOrbitError
-carry their margins as fields, kept in args, and build their message from them
-when it is read."""
+"""Exception types shared across the library, each with the exit code that the
+CLI returns for it.  OffQuadricError and NotSameOrbitError carry their margins
+as fields, kept in args, and build their message from them when it is read."""
+
+
+def _field_properties(cls, getter):
+    """_Named's and _MarginError's field rule: a property getter(k) per k-th name of cls._fields."""
+    for k, name in enumerate(cls.__dict__.get("_fields", ())):
+        setattr(cls, name, property(getter(k)))
 
 
 class GeometryError(ValueError):
     """Base class for all geometric/numerical errors raised by this package."""
+
+    exit_code = 3
 
 
 class DomainError(GeometryError):
@@ -28,9 +36,10 @@ class _MarginError(GeometryError):
     constructor fills the same args, and copy and pickle rebuild through it.
     """
 
+    exit_code = 4
+
     def __init_subclass__(cls):
-        for k, name in enumerate(cls._fields):
-            setattr(cls, name, property(lambda self, k=k: self.args[k]))
+        _field_properties(cls, lambda k: lambda self: self.args[k])
 
 
 class OffQuadricError(_MarginError):

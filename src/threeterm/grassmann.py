@@ -6,12 +6,12 @@ matrix; reconstruct() realizes that converse constructively.  Column
 rescaling acts on minors exactly as the torus action, and column
 permutation relabels them with the antisymmetric sign P_ji = -P_ij.
 
-A matrix is its eight entries: floats, or complex numbers if any is complex.
-The finiteness check, minors() and reconstruct() read only these; numpy serves
-only the public constructor and the rows array (read-only, new on each read).
-This is the package's one numpy import, and it loads with this module, which
-the package imports, like every submodule, when one of its names is first
-read.  As in models, Matrix2x4.__post_init__ keeps its name for the
+A matrix is the tuple of its two rows: floats, or complex numbers if any
+entry is.  The finiteness check, minors() and reconstruct() read only these;
+numpy serves only the public constructor and the rows array.  This is the
+package's one numpy import, and it loads with this module, which the package
+imports, like every submodule, when one of its names is first read.  As in
+models, Matrix2x4.__post_init__ returns self and keeps its name for the
 benchmark's tracer.  reconstruct() reads P_kl from a table of slots and signs.
 """
 
@@ -24,17 +24,17 @@ import numbers
 import numpy as np
 
 from .errors import DomainError
-from .relations import (DEFAULT_TOL, PAIRS, SixTuple, _Frozen, _ldexp, _minors, _off_quadric,
+from .relations import (DEFAULT_TOL, PAIRS, SixTuple, _Named, _ldexp, _minors, _off_quadric,
                         _residual_and_scale, is_on_quadric)
 
 
-class Matrix2x4(_Frozen):
-    """A 2x4 matrix: entries, two 4-tuples of floats (complex if any entry is),
-    checked finite by 0.0*v as SixTuple is; rows, a read-only ndarray of them.
-    Rows that are ragged, not numbers (a string, None) or beyond the float range
-    raise DomainError."""
+class Matrix2x4(_Named):
+    """A 2x4 matrix: the tuple of its two rows, checked finite by 0.0*v as
+    SixTuple is; rows, a read-only ndarray of them.  Rows that are ragged, not
+    numbers (a string, None) or beyond the float range raise DomainError.  Its
+    repr and pickle call Matrix2x4(rows)."""
 
-    __slots__ = ("entries",)
+    __slots__ = ()
 
     def __new__(cls, rows):
         try:
@@ -53,35 +53,32 @@ class Matrix2x4(_Frozen):
             x, y = arr.astype(complex if kind == "c" else float, copy=False).tolist()
         except OverflowError as exc:  # an int beyond the float range
             raise DomainError(f"matrix entries must be finite: {exc}") from None
-        return cls._from_entries(tuple(x), tuple(y))
-
-    @classmethod
-    def _from_entries(cls, x: tuple, y: tuple) -> Matrix2x4:
-        self = object.__new__(cls)
-        object.__setattr__(self, "entries", (x, y))
-        self.__post_init__()
-        return self
-
-    def _key(self) -> tuple:
-        return (self.entries,)
+        return tuple.__new__(cls, (tuple(x), tuple(y))).__post_init__()
 
     def __post_init__(self):
-        (x1, x2, x3, x4), (y1, y2, y3, y4) = self.entries
+        (x1, x2, x3, x4), (y1, y2, y3, y4) = self
         if not cmath.isfinite(0.0 * x1 + 0.0 * x2 + 0.0 * x3 + 0.0 * x4
                               + 0.0 * y1 + 0.0 * y2 + 0.0 * y3 + 0.0 * y4):
             raise DomainError("matrix entries must be finite")
+        return self
+
+    def __repr__(self):
+        return f"Matrix2x4({tuple(self)!r})"
+
+    def __reduce__(self):
+        return type(self), (tuple(self),)
 
     @property
     def rows(self) -> np.ndarray:
         """The entries as a new read-only ndarray, float64 or complex128."""
-        rows = np.array(self.entries)
+        rows = np.array(self)
         rows.setflags(write=False)
         return rows
 
 
 def minors(m: Matrix2x4) -> SixTuple:
     """The six minors P_ij = x_i*y_j - x_j*y_i, in index order 12,13,14,23,24,34."""
-    return SixTuple(*_minors(*zip(*m.entries)))
+    return SixTuple(*_minors(*zip(*m)))
 
 
 # P_kl for k != l as (storage slot, negated), by P_lk = -P_kl; then one row per
@@ -106,7 +103,7 @@ def reconstruct(p: SixTuple, tol: float = DEFAULT_TOL) -> Matrix2x4:
     if not is_on_quadric(p, tol):
         raise _off_quadric(p, *_residual_and_scale(p), tol)
     if not any(p):
-        return Matrix2x4._from_entries((0.0,) * 4, (0.0,) * 4)
+        return tuple.__new__(Matrix2x4, ((0.0,) * 4,) * 2).__post_init__()
     # SixTuple holds Python numbers: the sum is complex exactly when an entry is.
     to = complex if isinstance(sum(p, 0.0), complex) else float
     vals = tuple(map(to, p))
@@ -130,4 +127,4 @@ def reconstruct(p: SixTuple, tol: float = DEFAULT_TOL) -> Matrix2x4:
     for k, (a, neg_a), (b, neg_b) in rest:
         x[k] = (-num[a] if neg_a else num[a]) / den
         y[k] = -vals[b] if neg_b else vals[b]
-    return Matrix2x4._from_entries(tuple(x), tuple(y))
+    return tuple.__new__(Matrix2x4, (tuple(x), tuple(y))).__post_init__()

@@ -34,15 +34,18 @@ COMMON_RAY_GAP = 8 * 2.0**-53
 
 
 class EuclideanCircle(_Named):
-    """A Euclidean circle in the unit-disk picture: its center (x, y) and radius."""
+    """A Euclidean circle in the unit-disk picture: its center (x, y) and radius, floats."""
 
     __slots__ = ()
     _fields = ("center", "radius")
 
     def __new__(cls, center, radius):
+        (x, y), radius = map(float, center), float(radius)
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise DomainError(f"non-finite circle center: ({x}, {y})")
         if radius <= 0.0 or not math.isfinite(radius):
             raise DomainError(f"circle radius must be positive: {radius}")
-        return tuple.__new__(cls, (center, radius))
+        return tuple.__new__(cls, ((x, y), radius))
 
 
 def horocycle_to_circle(h: LightConePoint) -> EuclideanCircle:

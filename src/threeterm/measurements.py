@@ -16,21 +16,16 @@ that way: the chords d once, t as the torus image of d, lambda from t.  The
 determinants P, the minors of the half-angle columns, check d = 2P.  The
 oracles bitangent_direct and lambda_minkowski return whole families by
 independent paths (circle centres, light-cone pairings of the horocycles).
-
-A configuration computes its tangency points and centres once, at
-construction.  It builds each horocycle from its stored tangency point, with
-no second cos/sin of the boundary angle.
 """
 
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .errors import ConfigurationError
 from .horocycles import _horocycle_at, horocycle_to_circle, lambda_length
 from .models import LightConePoint, lightcone_to_boundary
-from .relations import _PAIRS0, SixTuple, TorusElement, _Frozen, _minors, torus_apply
+from .relations import _PAIRS0, SixTuple, TorusElement, _minors, _Named, torus_apply
 
 # Circles must clear each other by this much to count as disjoint.  It is
 # absolute because every length here is at most 2, the disk's diameter.  Its
@@ -42,13 +37,15 @@ from .relations import _PAIRS0, SixTuple, TorusElement, _Frozen, _minors, torus_
 DISJOINT_MARGIN = 1e-9
 
 
-class ConcyclicConfig(_Frozen):
+class ConcyclicConfig:
     """Four half-angles (strictly increasing in [0, pi]) and four radii in (0, 1).
 
     Construction rejects overlapping or tangent circle pairs; every
     measurement below assumes disjointness.  It also sets tangency_points
-    (A_i) and centers (C_i), 0-based tuples of (x, y) pairs.  Only alpha
-    and r take part in equality and hashing.
+    (A_i) and centers (C_i), 0-based tuples of (x, y) pairs, once.  As
+    tuple entries they would take part in equality, and a tuple subclass has
+    no slots, so it is the one value type that is not a _Named tuple.  It
+    equals, hashes and rebuilds by __reduce__: ConcyclicConfig(alpha, r).
     """
 
     __slots__ = ("alpha", "r", "tangency_points", "centers")
@@ -84,8 +81,23 @@ class ConcyclicConfig(_Frozen):
         init(self, "tangency_points", tuple(points))
         init(self, "centers", tuple(centers))
 
-    def _key(self) -> tuple:
-        return self.alpha, self.r
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"ConcyclicConfig is immutable: {name}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return self.__reduce__() == other.__reduce__() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self.__reduce__())
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.alpha!r}, {self.r!r})"
+
+    def __reduce__(self):
+        return type(self), (self.alpha, self.r)
 
     @classmethod
     def from_lightcone(cls, vectors) -> ConcyclicConfig:
@@ -105,7 +117,7 @@ class ConcyclicConfig(_Frozen):
         return cls(alpha, r)
 
     def horocycle(self, i: int) -> LightConePoint:
-        """The circle H_i as a horocycle of the Poincare disk: its light-cone point (1-based)."""
+        """The circle H_i as a horocycle, from its stored tangency point, no cos/sin (1-based)."""
         if not 1 <= i <= 4:
             raise IndexError(f"index out of range: {i}")
         x, y = self.tangency_points[i - 1]
@@ -116,10 +128,14 @@ class ConcyclicConfig(_Frozen):
         return _horocycle_at(x, y, self.r[i - 1])
 
 
-class MeasurementTable(namedtuple("MeasurementTable", ("d", "t", "lam", "p"))):
+class MeasurementTable(_Named):
     """The four measurement families of a configuration, one SixTuple each."""
 
     __slots__ = ()
+    _fields = ("d", "t", "lam", "p")
+
+    def __new__(cls, d, t, lam, p):
+        return tuple.__new__(cls, (SixTuple(*d), SixTuple(*t), SixTuple(*lam), SixTuple(*p)))
 
 
 def bitangent_direct(cfg: ConcyclicConfig) -> SixTuple:
@@ -168,4 +184,5 @@ def measure_all(cfg: ConcyclicConfig) -> MeasurementTable:
                    t23 / (s2 * s3), t24 / (s2 * s4), t34 / (s3 * s4))
     p = SixTuple(*_minors((cos(a1), sin(a1)), (cos(a2), sin(a2)),
                           (cos(a3), sin(a3)), (cos(a4), sin(a4))))
-    return MeasurementTable(d, t, lam, p)
+    # Four SixTuples already, so the table skips MeasurementTable's check.
+    return tuple.__new__(MeasurementTable, (d, t, lam, p))

@@ -8,8 +8,9 @@ The solver fits in one frame: the plain one where it stays in range and
 meets tol on every pair, else, once, the balanced one, whose verdict stands.
 So it balances each tuple at most once.
 
-SixTuple and TorusElement check their entries on every construction path,
-so the functions below unpack and iterate them directly.  reconstruct tests
+_Named is the package's one field rule for value types.  SixTuple and
+TorusElement check their entries on every construction path, so the
+functions below unpack and iterate them directly.  reconstruct tests
 by is_on_quadric, under the name the benchmark's tracer patches in
 grassmann, and forms the pass again for the error's fields.
 """
@@ -21,7 +22,7 @@ import math
 import sys
 from operator import itemgetter, sub, truediv
 
-from .errors import DegenerateError, NotSameOrbitError, OffQuadricError
+from .errors import DegenerateError, NotSameOrbitError, OffQuadricError, _field_properties
 
 Scalar = float | complex
 
@@ -50,52 +51,25 @@ _LO, _HI = 2.0 ** -969, 2.0 ** 1022
 
 
 class _Named(tuple):
-    """An immutable tuple whose entries also have names (_fields).
-
-    A subclass that sets _fields gets a read-only property per name.
-    """
+    """An immutable tuple whose entries also have names (_fields), each a
+    read-only property; its repr and pickle call the subclass's checking
+    __new__ with the entries."""
 
     __slots__ = ()
 
     def __init_subclass__(cls):
-        for k, name in enumerate(cls.__dict__.get("_fields", ())):
-            setattr(cls, name, property(itemgetter(k)))
+        _field_properties(cls, itemgetter)
 
     def __repr__(self):
         entries = ", ".join(f"{n}={v!r}" for n, v in zip(self._fields, self))
         return f"{type(self).__name__}({entries})"
 
     def __reduce__(self):
-        # copy and every pickle protocol rebuild through __new__, which validates.
         return type(self), tuple(self)
 
     def values(self) -> tuple[Scalar, ...]:
         """The entries as a plain tuple."""
         return tuple(self)
-
-
-class _Frozen:
-    """A value in __slots__ that cannot be assigned; it equals, hashes and
-    rebuilds (copy, pickle) by _key(), its constructor's arguments."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError(f"{type(self).__name__} is immutable: {name}")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        return self._key() == other._key() if type(other) is type(self) else NotImplemented
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return f"{type(self).__name__}{self._key()}"
-
-    def __reduce__(self):
-        return type(self), self._key()
 
 
 class SixTuple(_Named):

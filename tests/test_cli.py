@@ -8,7 +8,14 @@ from pathlib import Path
 import pytest
 
 from threeterm import cli
-from threeterm.cli import main
+from threeterm.cli import DocumentError, main
+from threeterm.errors import (
+    ConfigurationError,
+    DegenerateError,
+    DomainError,
+    NotSameOrbitError,
+    OffQuadricError,
+)
 
 DATA = Path(__file__).parent / "data"
 SCALE = 480.0
@@ -202,6 +209,26 @@ class TestExitCodes:
         code, _, err = run(capsys, *[str(DATA / a) if a.endswith(".json") else a for a in argv])
         assert code == 4
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("error,expected", [
+        (DocumentError("bad document"), 2),
+        (ConfigurationError("bad configuration"), 3),
+        (DomainError("bad domain"), 3),
+        (DegenerateError("degenerate"), 3),
+        (OffQuadricError(None, 1.0, 0.5, 1e-10), 4),
+        (NotSameOrbitError(None, 1.0, 2.0), 4),
+    ], ids=lambda v: type(v).__name__ if isinstance(v, Exception) else None)
+    def test_error_carries_its_exit_code(self, monkeypatch, capsys, error, expected):
+        # The codes that the cli docstring documents, as main returns them.
+        assert error.exit_code == expected
+
+        def fail(args):
+            raise error
+
+        monkeypatch.setattr(cli, "cmd_crossratio", fail)
+        code, out, err = run(capsys, "crossratio", "points.json")
+        assert (code, out) == (expected, "")
+        assert err.startswith(f"error: {error}\n")
 
     @pytest.mark.parametrize("tol", ["-1", "0", "1e-400", "nan", "inf", "1", "1e308"])
     @pytest.mark.parametrize(

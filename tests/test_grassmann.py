@@ -107,12 +107,12 @@ def malformed_rows(draw):
 
 def rescale_columns(m: Matrix2x4, s) -> Matrix2x4:
     """Column i scaled by s_i."""
-    return Matrix2x4([[c * v for c, v in zip(s, row)] for row in m.entries])
+    return Matrix2x4([[c * v for c, v in zip(s, row)] for row in m])
 
 
 def permute_columns(m: Matrix2x4, sigma) -> Matrix2x4:
     """Column k of the result is column sigma[k] of m (1-based)."""
-    return Matrix2x4([[row[k - 1] for k in sigma] for row in m.entries])
+    return Matrix2x4([[row[k - 1] for k in sigma] for row in m])
 
 
 def numpy_minors(m: Matrix2x4) -> SixTuple:
@@ -237,7 +237,7 @@ class TestMatrixType:
         with pytest.raises(ValueError):
             m.rows[0, 0] = 9.0
         rows[0, 0] = 9.0
-        assert m.rows[0, 0] == 0.0 and m.entries == ((0.0, 1.0, 2.0, 3.0), (4.0, 5.0, 6.0, 7.0))
+        assert m.rows[0, 0] == 0.0 and m == ((0.0, 1.0, 2.0, 3.0), (4.0, 5.0, 6.0, 7.0))
         assert not np.shares_memory(m.rows, rows)
 
     @settings(max_examples=300, deadline=None)
@@ -249,16 +249,16 @@ class TestMatrixType:
         expected = arr.astype(np.complex128 if arr.dtype.kind == "c" else np.float64).tolist()
         flat = [v for row in rows for v in row]
         to = complex if any(isinstance(v, (complex, np.complexfloating)) for v in flat) else float
-        got = [typed_bits(v) for row in Matrix2x4(rows).entries for v in row]
+        got = [typed_bits(v) for row in Matrix2x4(rows) for v in row]
         assert got == [typed_bits(v) for row in expected for v in row]
         assert got == [typed_bits(to(v)) for v in flat]
 
     def test_ints_beyond_int64_held_as_objects(self):
         # numpy holds such an int as an object: it still promotes with a
         # complex entry, and a string beside it is still no number.
-        real = Matrix2x4([[2 ** 70, 2, 3, 4], [5, 6, 7, 8]]).entries[0][:2]
+        real = Matrix2x4([[2 ** 70, 2, 3, 4], [5, 6, 7, 8]])[0][:2]
         assert [typed_bits(v) for v in real] == [typed_bits(2.0 ** 70), typed_bits(2.0)]
-        promoted = Matrix2x4([[2 ** 70, 2j, 3, 4], [5, 6, 7, 8]]).entries[0][:2]
+        promoted = Matrix2x4([[2 ** 70, 2j, 3, 4], [5, 6, 7, 8]])[0][:2]
         assert [typed_bits(v) for v in promoted] == [typed_bits(2.0 ** 70 + 0j), typed_bits(2j)]
         with pytest.raises(DomainError, match="expected a matrix of numbers"):
             Matrix2x4([[2 ** 70, "1", 3, 4], [5, 6, 7, 8]])
@@ -369,7 +369,7 @@ class TestReconstruct:
         big = 1.1235582092889472e308
         p = SixTuple(complex(-big, -big), 0.0, 0.0, 0.0, complex(0.8 * big, 0.8 * big), 0.0)
         m = reconstruct(p)
-        assert m.entries[0][3] == complex(0.8, -0.0)
+        assert m[0][3] == complex(0.8, -0.0)
         assert minors(m) == p
 
     def test_complex_quotients_scale_free(self):
@@ -378,7 +378,7 @@ class TestReconstruct:
         e = 1019
         p = minors(Matrix2x4([[2.0, 1j, 1.0 + 1j, -1.0], [0.5, 1.0, -1j, 3.0]]))
         scaled = SixTuple(*[complex(math.ldexp(v.real, e), math.ldexp(v.imag, e)) for v in p])
-        (x, y), (sx, sy) = reconstruct(p).entries, reconstruct(scaled).entries
+        (x, y), (sx, sy) = reconstruct(p), reconstruct(scaled)
         assert sx == x
         assert sy == tuple(complex(math.ldexp(v.real, e), math.ldexp(v.imag, e)) for v in y)
 
@@ -414,8 +414,8 @@ class TestEntries:
         # the public constructor reads from its rows, down to the entry types.
         m = reconstruct(p)
         r = Matrix2x4(m.rows)
-        types = [type(v) for row in m.entries for v in row]
-        assert types == [type(v) for row in r.entries for v in row]
+        types = [type(v) for row in m for v in row]
+        assert types == [type(v) for row in r for v in row]
         cplx = any(isinstance(v, complex) for v in p) and any(p)
         assert set(types) == {complex if cplx else float}
         assert m.rows.dtype == r.rows.dtype == (np.complex128 if cplx else np.float64)
@@ -442,7 +442,7 @@ class TestEntries:
                 m.rows
         rows = m.rows
         assert not rows.flags.writeable and rows.dtype == (np.complex128 if cplx else np.float64)
-        assert rows.tolist() == [list(row) for row in m.entries]
+        assert rows.tolist() == [list(row) for row in m]
 
     def test_numpy_scalars_stored_as_python_numbers(self):
         # complex64 monomials of 1e-50 underflow to zero; as Python complex

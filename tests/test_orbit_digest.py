@@ -42,7 +42,7 @@ def outcome(call) -> str:
         return f"{type(exc).__name__}|{exc}|{None if res is None else enc(res)}"
     if isinstance(out, bool):
         return repr(out)
-    if isinstance(out, tuple):
+    if isinstance(out, (SixTuple, TorusElement)):
         return " ".join(enc(v) for v in out)
     rows = out.rows
     return f"{rows.dtype} " + " ".join(enc(v) for row in rows.tolist() for v in row) \

@@ -1,9 +1,9 @@
 """The package's value types: immutable, hashable, and rebuilt through their checks.
 
-Each type is a relations._Named tuple or a relations._Frozen slotted value.
-Copy, deepcopy and every pickle protocol rebuild a value by calling its
-type, so a value whose entries bypassed the checks (built here with
-tuple.__new__ or object.__new__) cannot be copied or unpickled.
+Each type is a relations._Named tuple, but ConcyclicConfig, which keeps its
+derived points in slots.  Copy, deepcopy and every pickle protocol rebuild a
+value by calling its type, so a value whose entries bypassed the checks
+(built here by unchecked) cannot be copied or unpickled.
 """
 
 import copy
@@ -17,7 +17,7 @@ from conftest import SQUARE_ALPHA, SQUARE_RADII
 from threeterm.errors import ConfigurationError, DomainError, GeometryError
 from threeterm.grassmann import Matrix2x4
 from threeterm.horocycles import EuclideanCircle
-from threeterm.measurements import ConcyclicConfig
+from threeterm.measurements import ConcyclicConfig, MeasurementTable, measure_all
 from threeterm.models import (
     BoundaryPoint,
     DiskPoint,
@@ -26,33 +26,43 @@ from threeterm.models import (
     MinkowskiVec,
     UhpPoint,
 )
+from threeterm.relations import SixTuple, TorusElement
 
 
-def unchecked(cls, **fields):
-    """An instance of a _Frozen type with its slots set directly, skipping __init__."""
+def unchecked(cls, *entries):
+    """An instance of cls holding entries, skipping its checks: the tuple of
+    them, or for ConcyclicConfig its slots in order."""
+    if cls is not ConcyclicConfig:
+        return tuple.__new__(cls, entries)
     value = object.__new__(cls)
-    for name, v in fields.items():
+    for name, v in zip(cls.__slots__, entries):
         object.__setattr__(value, name, v)
     return value
 
 
+TABLE = measure_all(ConcyclicConfig(SQUARE_ALPHA, SQUARE_RADII))
+
 # Per type: a valid value, one of its fields, and a value of the type that
 # fails its checks.
 CASES = {
-    "MinkowskiVec": (MinkowskiVec(0.3, -0.4, 0.5), "x",
-                     tuple.__new__(MinkowskiVec, (math.nan, 0.0, 1.0))),
-    "LightConePoint": (LightConePoint(3, 4, 5), "z", tuple.__new__(LightConePoint, (1.0, 0.0, 2.0))),
+    "MinkowskiVec": (MinkowskiVec(0.3, -0.4, 0.5), "x", unchecked(MinkowskiVec, math.nan, 0.0, 1.0)),
+    "LightConePoint": (LightConePoint(3, 4, 5), "z", unchecked(LightConePoint, 1.0, 0.0, 2.0)),
     "HyperboloidPoint": (HyperboloidPoint(4 / 3, 0, 5 / 3), "y",
-                         tuple.__new__(HyperboloidPoint, (0.0, 0.0, -1.0))),
-    "DiskPoint": (DiskPoint(0.25, -0.5), "x", tuple.__new__(DiskPoint, (1.0, 0.0))),
-    "BoundaryPoint": (BoundaryPoint(1.25), "theta", tuple.__new__(BoundaryPoint, (math.inf,))),
-    "UhpPoint": (UhpPoint(-1.5, 2.0), "im", tuple.__new__(UhpPoint, (0.0, -1.0, False))),
+                         unchecked(HyperboloidPoint, 0.0, 0.0, -1.0)),
+    "DiskPoint": (DiskPoint(0.25, -0.5), "x", unchecked(DiskPoint, 1.0, 0.0)),
+    "BoundaryPoint": (BoundaryPoint(1.25), "theta", unchecked(BoundaryPoint, math.inf)),
+    "UhpPoint": (UhpPoint(-1.5, 2.0), "im", unchecked(UhpPoint, 0.0, -1.0, False)),
     "EuclideanCircle": (EuclideanCircle((0.5, 0.25), 0.125), "radius",
-                        tuple.__new__(EuclideanCircle, ((0.0, 0.0), 0.0))),
+                        unchecked(EuclideanCircle, (0.0, 0.0), 0.0)),
     "ConcyclicConfig": (ConcyclicConfig(SQUARE_ALPHA, SQUARE_RADII), "alpha",
-                        unchecked(ConcyclicConfig, alpha=SQUARE_ALPHA[::-1], r=SQUARE_RADII)),
-    "Matrix2x4": (Matrix2x4([[1, 2, 3, 4], [5, 6, 7, 8j]]), "entries",
-                  unchecked(Matrix2x4, entries=((1.0, 2.0, 3.0, math.inf), (5.0, 6.0, 7.0, 8.0)))),
+                        unchecked(ConcyclicConfig, SQUARE_ALPHA[::-1], SQUARE_RADII)),
+    "Matrix2x4": (Matrix2x4([[1, 2, 3, 4], [5, 6, 7, 8j]]), "rows",
+                  unchecked(Matrix2x4, (1.0, 2.0, 3.0, math.inf), (5.0, 6.0, 7.0, 8.0))),
+    "SixTuple": (SixTuple(1.0, 2j, 3.0, 4.0, 5.0, 6.0), "a12",
+                 unchecked(SixTuple, 1.0, 2.0, 3.0, 4.0, 5.0, math.nan)),
+    "TorusElement": (TorusElement(1.0, 2.0, -3.0, 4j), "q1", unchecked(TorusElement, 0.0, 1.0, 1.0, 1.0)),
+    "MeasurementTable": (TABLE, "lam", unchecked(MeasurementTable, TABLE.d, TABLE.t, TABLE.lam,
+                                                 unchecked(SixTuple, *TABLE.p[:5], math.inf))),
 }
 
 REBUILDS = {
@@ -99,6 +109,12 @@ def test_matrix_keeps_its_dtype_and_read_only_rows():
 
 # Per constructor: a call that its checks reject, the error and its message.
 REJECTED = {
+    "EuclideanCircle-nan-center": (lambda: EuclideanCircle((math.nan, math.inf), 0.5),
+                                   DomainError, "non-finite circle center"),
+    "EuclideanCircle-text-center": (lambda: EuclideanCircle("ab", 0.5),
+                                    ValueError, "could not convert string to float"),
+    "MeasurementTable-short-family": (lambda: MeasurementTable(*TABLE[:3], TABLE.p[:5]),
+                                      TypeError, "missing 1 required positional argument"),
     "ConcyclicConfig-three-alphas": (lambda: ConcyclicConfig(SQUARE_ALPHA[:3], SQUARE_RADII),
                                      ConfigurationError, "expected four half-angles"),
     "ConcyclicConfig-nan-radius": (lambda: ConcyclicConfig(SQUARE_ALPHA, [math.nan, 0.1, 0.1, 0.1]),
@@ -129,7 +145,17 @@ def test_constructor_rejects(name):
         call()
 
 
-@pytest.mark.parametrize("name", ["ConcyclicConfig", "Matrix2x4"])
+@pytest.mark.parametrize("name", CASES)
 def test_frozen_repr_is_its_constructor_call(name):
     value = CASES[name][0]
-    assert eval(repr(value), {name: type(value)}) == value
+    namespace = {type(v).__name__: type(v) for v, _, _ in CASES.values()}
+    assert eval(repr(value), namespace) == value
+
+
+def test_measurement_table_reads_as_its_four_families():
+    d, t, lam, p = TABLE
+    assert TABLE == (d, t, lam, p) and (TABLE.d, TABLE.t, TABLE.lam, TABLE.p) == (d, t, lam, p)
+    assert all(type(v) is SixTuple for v in TABLE)
+    assert repr(TABLE) == f"MeasurementTable(d={d!r}, t={t!r}, lam={lam!r}, p={p!r})"
+    # The public constructor makes each family a checked SixTuple.
+    assert type(MeasurementTable(*map(tuple, TABLE)).d) is SixTuple
