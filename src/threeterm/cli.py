@@ -33,7 +33,7 @@ import math
 import os
 import sys
 
-from .errors import DegenerateError, GeometryError, NotSameOrbitError, OffQuadricError
+from .errors import DegenerateError, GeometryError, NotSameOrbitError
 from .measurements import (
     ConcyclicConfig,
     bitangent_direct,
@@ -67,9 +67,6 @@ class DocumentError(ValueError):
 
 EXIT_OK = 0
 EXIT_RELATION_FAILURE = 1
-EXIT_PARSE = DocumentError.exit_code
-EXIT_INVALID_CONFIG = GeometryError.exit_code
-EXIT_ORBIT = OffQuadricError.exit_code
 EXIT_BROKEN_PIPE = 128 + 13  # a shell's code for a process that SIGPIPE ended
 
 

@@ -32,7 +32,8 @@ class Matrix2x4(_Named):
     """A 2x4 matrix: the tuple of its two rows, checked finite by 0.0*v as
     SixTuple is; rows, a read-only ndarray of them.  Rows that are ragged, not
     numbers (a string, None) or beyond the float range raise DomainError.  Its
-    repr and pickle call Matrix2x4(rows)."""
+    repr and pickle call Matrix2x4(rows).  It equals and hashes as the plain
+    tuple of its rows, the _Named rule that every value type but one keeps."""
 
     __slots__ = ()
 

@@ -11,6 +11,7 @@ horocycles are disjoint, for any heights and any two distinct ideal points.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 from .errors import DegenerateError, DomainError
 from .models import BoundaryPoint, LightConePoint
@@ -40,7 +41,10 @@ class EuclideanCircle(_Named):
     _fields = ("center", "radius")
 
     def __new__(cls, center, radius):
-        (x, y), radius = map(float, center), float(radius)
+        x, y = center
+        if not (isinstance(x, Real) and isinstance(y, Real) and isinstance(radius, Real)):
+            raise DomainError(f"circle center and radius must be real: {center!r}, {radius!r}")
+        x, y, radius = float(x), float(y), float(radius)
         if not (math.isfinite(x) and math.isfinite(y)):
             raise DomainError(f"non-finite circle center: ({x}, {y})")
         if radius <= 0.0 or not math.isfinite(radius):

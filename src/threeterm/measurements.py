@@ -72,9 +72,7 @@ class ConcyclicConfig:
             (xi, yi), (xj, yj) = centers[i], centers[j]
             gap = math.hypot(xi - xj, yi - yj) - (r[i] + r[j])
             if gap <= DISJOINT_MARGIN:
-                raise ConfigurationError(
-                    f"circles {i + 1} and {j + 1} overlap (gap {gap:.3e})"
-                )
+                raise ConfigurationError(f"circles {i + 1} and {j + 1} overlap (gap {gap:.3e})")
         init = object.__setattr__
         init(self, "alpha", alpha)
         init(self, "r", r)
@@ -173,16 +171,15 @@ def measure_all(cfg: ConcyclicConfig) -> MeasurementTable:
     a1, a2, a3, a4 = cfg.alpha
     r1, r2, r3, r4 = cfg.r
     sin, cos, sqrt = math.sin, math.cos, math.sqrt
-    d = SixTuple(2.0 * sin(a2 - a1), 2.0 * sin(a3 - a1), 2.0 * sin(a4 - a1),
-                 2.0 * sin(a3 - a2), 2.0 * sin(a4 - a2), 2.0 * sin(a4 - a3))
+    d = (2.0 * sin(a2 - a1), 2.0 * sin(a3 - a1), 2.0 * sin(a4 - a1),
+         2.0 * sin(a3 - a2), 2.0 * sin(a4 - a2), 2.0 * sin(a4 - a3))
     t = torus_apply(TorusElement(sqrt(1.0 - r1), sqrt(1.0 - r2), sqrt(1.0 - r3), sqrt(1.0 - r4)), d)
     s1, s2, s3, s4 = sqrt(2.0 * r1), sqrt(2.0 * r2), sqrt(2.0 * r3), sqrt(2.0 * r4)
     t12, t13, t14, t23, t24, t34 = t
     # Divide by s_i*s_j rather than multiply by the torus inverse, which
     # would round differently and change the reported lambda lengths.
-    lam = SixTuple(t12 / (s1 * s2), t13 / (s1 * s3), t14 / (s1 * s4),
-                   t23 / (s2 * s3), t24 / (s2 * s4), t34 / (s3 * s4))
-    p = SixTuple(*_minors((cos(a1), sin(a1)), (cos(a2), sin(a2)),
-                          (cos(a3), sin(a3)), (cos(a4), sin(a4))))
-    # Four SixTuples already, so the table skips MeasurementTable's check.
-    return tuple.__new__(MeasurementTable, (d, t, lam, p))
+    lam = (t12 / (s1 * s2), t13 / (s1 * s3), t14 / (s1 * s4),
+           t23 / (s2 * s3), t24 / (s2 * s4), t34 / (s3 * s4))
+    p = _minors((cos(a1), sin(a1)), (cos(a2), sin(a2)), (cos(a3), sin(a3)), (cos(a4), sin(a4)))
+    # The table makes each family a checked SixTuple.
+    return MeasurementTable(d, t, lam, p)

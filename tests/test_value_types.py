@@ -112,7 +112,9 @@ REJECTED = {
     "EuclideanCircle-nan-center": (lambda: EuclideanCircle((math.nan, math.inf), 0.5),
                                    DomainError, "non-finite circle center"),
     "EuclideanCircle-text-center": (lambda: EuclideanCircle("ab", 0.5),
-                                    ValueError, "could not convert string to float"),
+                                    DomainError, "circle center and radius must be real"),
+    "EuclideanCircle-text-radius": (lambda: EuclideanCircle((0.5, 0.0), "0.25"),
+                                    DomainError, "circle center and radius must be real"),
     "MeasurementTable-short-family": (lambda: MeasurementTable(*TABLE[:3], TABLE.p[:5]),
                                       TypeError, "missing 1 required positional argument"),
     "ConcyclicConfig-three-alphas": (lambda: ConcyclicConfig(SQUARE_ALPHA[:3], SQUARE_RADII),
